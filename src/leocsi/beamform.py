@@ -6,6 +6,7 @@ full power budget.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,42 +73,75 @@ def zero_forcing(H: np.ndarray, total_power: float) -> np.ndarray:
 
 
 def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
-    """Weighted-MMSE transmit update with a bisection on the power multiplier."""
-    k, n = H.shape
-    A = np.zeros((n, n), dtype=complex)
-    for j in range(k):
-        A += lam[j] * abs(u[j]) ** 2 * np.outer(H[j], H[j].conj())
+    """Weighted-MMSE transmit update with a safeguarded search on the power multiplier.
+
+    The returned beamformer's power never exceeds ``total_power``: the search
+    keeps a bracket ``lo < mu <= hi`` with ``power(lo) > total_power >=
+    power(hi)`` and returns the solution at ``hi`` once the bracket is
+    narrower than ``inner_tol * max(1, hi)``.
+    """
+    weights = lam * np.abs(u) ** 2
+    A = (H.T * weights) @ H.conj()  # sum_j weights_j h_j h_j^H
     B = (lam * np.conj(u))[:, None] * H  # [K, N] right-hand sides
 
-    # Diagonalize once so each multiplier probe costs O(K*N).
+    # Diagonalize once; with c = sum_k |Q^H b_k|^2 each multiplier probe is
+    # a length-N dot product.
     evals, Q = np.linalg.eigh(A)
     Bq = B @ Q.conj()  # rows are Q^H b_i
+    c = np.sum(np.abs(Bq) ** 2, axis=0)
 
     def solve(mu):
         return (Bq / (evals + mu)) @ Q.T
 
     def power(mu):
-        return float(np.sum(np.abs(Bq) ** 2 / (evals + mu) ** 2))
+        return float(c @ (evals + mu) ** -2)
 
     # Interior solution: already within budget at mu = 0.
     if evals.min() > 1e-14 and power(0.0) <= total_power:
         return solve(0.0)
 
-    lo, hi = 0.0, 1.0
+    target = total_power ** -0.5
+    psi = {}  # psi(mu) = power(mu)**-1/2 at every probed mu
+
+    def probe(mu):
+        """Narrow the bracket with a probe at ``mu``, if ``mu`` lies inside it."""
+        nonlocal lo, hi
+        if lo < mu < hi:
+            p = power(mu)
+            psi[mu] = p**-0.5 if p > 0.0 else math.inf
+            if p > total_power:
+                lo = mu
+            else:
+                hi = mu
+
+    lo, hi, mu = 0.0, math.inf, 1.0
     for _ in range(200):
-        if power(hi) <= total_power:
+        probe(mu)
+        if hi < math.inf:
             break
-        hi *= 2.0
+        mu *= 2.0
     else:
-        raise WmmseError(f"cannot bracket power multiplier, hi={hi}")
+        raise WmmseError(f"cannot bracket power multiplier, mu={mu}")
+
+    # psi is concave and increasing in mu, so a Newton step on psi from lo
+    # stops short of the root and the secant through lo and hi overshoots it:
+    # each round closes the bracket from both ends.  The Newton step is held
+    # inside the final tolerance below hi, steps outside the bracket are
+    # skipped, and a round that does not halve the bracket ends in bisection.
+    # lo = 0 is never probed, since mu = 0 can be a pole of power(mu).
     for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if power(mid) > total_power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < inner_tol * max(1.0, hi):
+        width = hi - lo
+        if width < inner_tol * max(1.0, hi):
             break
+        if lo in psi:
+            inv = 1.0 / (evals + lo)
+            slope = float(c @ inv**3) * psi[lo] ** 3  # d psi / d mu at lo
+            newton = lo + (target - psi[lo]) / slope
+            probe(min(newton, hi - 0.5 * inner_tol * max(1.0, hi)))
+            if psi[hi] > psi[lo]:
+                probe(lo + (hi - lo) * (target - psi[lo]) / (psi[hi] - psi[lo]))
+        if hi - lo > 0.5 * width:
+            probe(0.5 * (lo + hi))
     return solve(hi)
 
 

@@ -65,14 +65,21 @@ class CsiTensor:
         return self.data.shape[2]
 
 
-def array_response(theta: float, phi: float, geometry: ArrayGeometry) -> np.ndarray:
-    """UPA steering vector, unit norm, x-index on the outer Kronecker factor."""
+def array_response(theta, phi, geometry: ArrayGeometry) -> np.ndarray:
+    """UPA steering vectors, unit norm, x-index on the outer Kronecker factor.
+
+    ``theta`` and ``phi`` are scalars or arrays of one shape ``S``; the
+    result is ``[*S, N]``, one steering vector per angle pair.
+    """
     d_over_lambda = geometry.spacing / geometry.wavelength
+    theta = np.asarray(theta, dtype=float)[..., None]
+    phi = np.asarray(phi, dtype=float)[..., None]
     nx = np.arange(geometry.n_x)
     ny = np.arange(geometry.n_y)
-    ax = np.exp(-2j * np.pi * d_over_lambda * np.sin(theta) * np.sin(phi) * nx)
-    ay = np.exp(-2j * np.pi * d_over_lambda * np.cos(phi) * ny)
-    return np.kron(ax, ay) / np.sqrt(geometry.num_antennas)
+    ax = np.exp(-2j * np.pi * d_over_lambda * np.sin(theta) * np.sin(phi) * nx)  # [*S, n_x]
+    ay = np.exp(-2j * np.pi * d_over_lambda * np.cos(phi) * ny)  # [*S, n_y]
+    steer = (ax[..., :, None] * ay[..., None, :]).reshape(theta.shape[:-1] + (-1,))
+    return steer / np.sqrt(geometry.num_antennas)
 
 
 def los_component(
@@ -94,12 +101,7 @@ def nlos_component(
     dopplers = params.sat_doppler_hz + params.nlos_dev_dopplers_hz
     delays = params.nlos_excess_delays_s + params.los_delay_s
     phases = np.exp(2j * np.pi * (t * dopplers - f * delays))  # [L]
-    steer = np.stack(
-        [
-            array_response(th, ph, geometry)
-            for th, ph in zip(params.nlos_thetas, params.nlos_phis)
-        ]
-    )  # [L, N]
+    steer = array_response(params.nlos_thetas, params.nlos_phis, geometry)  # [L, N]
     return (params.nlos_gains * phases) @ steer / np.sqrt(L)
 
 
@@ -169,6 +171,21 @@ def sample_device_params(
     )
 
 
+def _path_table(params: DeviceChannelParams, w_los: float, w_nlos: float):
+    """Angles, Dopplers, delays and weighted gains of the LOS path, then the NLOS paths.
+
+    Each entry is ``[L+1]``.  ``w_los``/``w_nlos`` are the Rician weights; the
+    NLOS weight already carries the 1/sqrt(L) normalization.
+    """
+    return (
+        np.append(params.los_theta, params.nlos_thetas),
+        np.append(params.los_phi, params.nlos_phis),
+        params.sat_doppler_hz + np.append(params.dev_doppler_los_hz, params.nlos_dev_dopplers_hz),
+        np.append(params.los_delay_s, params.nlos_excess_delays_s + params.los_delay_s),
+        np.append(w_los * params.los_gain, w_nlos * params.nlos_gains),
+    )
+
+
 def generate_episode(
     config: ScenarioConfig,
     device_speeds: np.ndarray,
@@ -180,6 +197,12 @@ def generate_episode(
     Each device gets one parameter draw held fixed across all slots; the
     per-device sub-seed is derived from (seed, device index) so episodes are
     reproducible regardless of evaluation order.
+
+    The episode is formed whole-array rather than slot by slot: the
+    ``[K, L+1, N]`` LOS and NLOS steering vectors are computed once, and
+    device k's channel is ``(g_k * exp(2j*pi*(t*f_D - f_c*tau)))[T, L+1] @
+    steer_k[L+1, N]``, with ``g_k`` the Rician-weighted path gains.  It agrees
+    with stacking ``channel_at`` per slot up to floating-point rounding.
     """
     device_speeds = np.asarray(device_speeds, dtype=float)
     if total_slots < 1:
@@ -188,15 +211,20 @@ def generate_episode(
         raise ValueError("one speed per device is required")
 
     kappa = config.rician_linear
-    geometry = config.geometry
-    data = np.empty(
-        (total_slots, config.num_devices, config.num_antennas), dtype=complex
-    )
+    w_los = np.sqrt(kappa / (kappa + 1.0))
+    w_nlos = np.sqrt(1.0 / (kappa + 1.0)) / np.sqrt(config.num_paths)
+    tables = []
     for k, speed in enumerate(device_speeds):
         sub_seed = np.random.SeedSequence([rng_seed, k]).generate_state(1)[0]
         params = sample_device_params(config, speed, int(sub_seed))
-        for t in range(total_slots):
-            data[t, k] = channel_at(
-                t * config.slot_interval_s, config.carrier_hz, params, geometry, kappa
-            )
-    return CsiTensor(data=data, slot_interval_s=config.slot_interval_s)
+        tables.append(_path_table(params, w_los, w_nlos))
+    thetas, phis, dopplers, delays, gains = (np.stack(col) for col in zip(*tables))  # [K, L+1]
+
+    steer = array_response(thetas, phis, config.geometry)  # [K, L+1, N]
+    t = np.arange(total_slots)[:, None, None] * config.slot_interval_s  # [T, 1, 1]
+    phase = np.exp(2j * np.pi * (t * dopplers - config.carrier_hz * delays))  # [T, K, L+1]
+    data = np.matmul((gains * phase).transpose(1, 0, 2), steer)  # [K, T, N]
+    return CsiTensor(
+        data=np.ascontiguousarray(data.transpose(1, 0, 2)),
+        slot_interval_s=config.slot_interval_s,
+    )

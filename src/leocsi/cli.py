@@ -211,6 +211,30 @@ def _cmd_train(args, doc, head: str):
     return 0
 
 
+def _baseline(name: str):
+    if name not in BASELINES:
+        raise ConfigError(f"unknown baseline {name!r}")
+    return BASELINES[name]
+
+
+def _clean_test_records(meta, records):
+    """Rebuild a test split without estimation noise from its ``meta``.
+
+    The rebuilt futures must equal the stored ones to float32 rounding, which
+    shows that the split was generated from this scenario and seed.
+    """
+    if meta.split != "test":
+        raise DatasetError(f"an SNR sweep needs a test split, got {meta.split!r}")
+    _, clean = build_dataset(
+        meta.scenario, meta.m, split="test", t_p=meta.t_p, t_f=meta.t_f,
+        seed=meta.seed, test_snr_db=float("inf"),
+    )
+    for i, (stored, rebuilt) in enumerate(zip(records, clean)):
+        if not np.allclose(stored.future.data, rebuilt.future.data, rtol=2.0**-22, atol=1e-12):
+            raise DatasetError(f"test sample {i} does not match a clean rebuild from meta.json")
+    return clean
+
+
 def cmd_eval(args, doc):
     _, records = load_dataset(args.dataset)
     run_dir = make_run_dir(args.out, args.seed)
@@ -220,9 +244,7 @@ def cmd_eval(args, doc):
         model = Model.load(args.model)
         results["model"] = eval_nmse(lambda past, _tf: model.predict(past), records)
     for name in args.baseline:
-        if name not in BASELINES:
-            raise ConfigError(f"unknown baseline {name!r}")
-        results[name] = eval_nmse(BASELINES[name], records)
+        results[name] = eval_nmse(_baseline(name), records)
     with open(os.path.join(run_dir, "eval.json"), "w", encoding="utf-8") as fh:
         json.dump({"nmse_db": results, "t_f": t_f}, fh, indent=2)
     write_manifest(run_dir, doc, [args.dataset])
@@ -233,14 +255,13 @@ def cmd_eval(args, doc):
 
 
 def cmd_sweep(args, doc):
-    _, records = load_dataset(args.dataset)
-    run_dir = make_run_dir(args.out, args.seed)
+    meta, records = load_dataset(args.dataset)
     predictors = {}
     if args.model:
         model = Model.load(args.model)
         predictors["model"] = lambda past, _tf: model.predict(past)
     for name in args.baseline:
-        predictors[name] = BASELINES[name]
+        predictors[name] = _baseline(name)
     if not predictors:
         raise ConfigError("sweep needs at least one --model or --baseline")
     kind = args.kind
@@ -248,9 +269,11 @@ def cmd_sweep(args, doc):
         result = velocity_sweep(predictors, records, seed=args.seed)
     elif kind == "snr":
         snrs = doc["sweep"].get("snrs_db", [0, 5, 10, 15, 20, 25, 30])
-        result = snr_sweep(predictors, records, snrs, seed=args.seed)
+        clean = _clean_test_records(meta, records)
+        result = snr_sweep(predictors, clean, snrs, seed=args.seed)
     else:
         raise ConfigError(f"unsupported sweep kind {kind!r}")
+    run_dir = make_run_dir(args.out, args.seed)
     result.write_csv(os.path.join(run_dir, "sweep.csv"))
     result.write_json(os.path.join(run_dir, "sweep.json"))
     write_manifest(run_dir, doc, [args.dataset])
@@ -301,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="runs", help="root directory for run outputs")
     parser.add_argument("--desk", action="store_true",
                         help="use the small CPU-scale scenario and model presets")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="1 forces the bit-deterministic single-threaded mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate train+test datasets")

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .beamform import mrt, sum_rate, wmmse
 from .dataset import SampleRecord, add_estimation_noise
@@ -59,35 +60,35 @@ def ar_baseline(past: np.ndarray, t_f: int, order: int = 1) -> np.ndarray:
     Each (device, antenna) complex series gets a least-squares fit of an
     order-p linear recurrence, rolled forward ``t_f`` steps.  Singular
     normal equations fall back to ridge regression with a warning.
+
+    All K*N series are fitted at once: they are stacked into ``[M, t_p]``,
+    their sliding windows give ``[M, t_p - p, p]`` regressors, and the
+    ``[M, p, p]`` normal equations are checked and solved as one batch.
+    Only the ill-conditioned rows take the ridge fallback, with one warning
+    per call.
     """
     past = np.asarray(past)
     t_p = past.shape[0]
     if t_p <= order:
         raise ValueError("history must be longer than the AR order")
-    k, n = past.shape[1], past.shape[2]
-    preds = np.empty((t_f, k, n), dtype=complex)
-    for ki in range(k):
-        for ni in range(n):
-            series = past[:, ki, ni]
-            rows = t_p - order
-            X = np.stack([series[i : i + order] for i in range(rows)])
-            y = series[order:]
-            gram = X.conj().T @ X
-            rhs = X.conj().T @ y
-            try:
-                cond = np.linalg.cond(gram)
-                if cond > 1e12:
-                    raise np.linalg.LinAlgError("ill-conditioned")
-                coef = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                warnings.warn("singular AR normal equations; using ridge fallback")
-                coef = np.linalg.solve(gram + 1e-6 * np.eye(order), rhs)
-            window = list(series[-order:])
-            for t in range(t_f):
-                nxt = complex(np.dot(coef, window))
-                preds[t, ki, ni] = nxt
-                window = window[1:] + [nxt]
-    return preds
+    series = past.reshape(t_p, -1).T  # [M, t_p]
+    X = sliding_window_view(series, order, axis=1)[:, :-1]  # [M, t_p - p, p]
+    y = series[:, order:, None]  # [M, t_p - p, 1]
+    Xh = X.conj().transpose(0, 2, 1)
+    gram = Xh @ X  # [M, p, p]
+    rhs = Xh @ y  # [M, p, 1]
+    bad = ~(np.linalg.cond(gram) <= 1e12)
+    if np.any(bad):
+        warnings.warn("singular AR normal equations; using ridge fallback")
+        gram[bad] += 1e-6 * np.eye(order)
+    coef = np.linalg.solve(gram, rhs)[..., 0]  # [M, p]
+
+    window = series[:, -order:]
+    preds = np.empty((t_f, series.shape[0]), dtype=complex)
+    for t in range(t_f):
+        preds[t] = np.sum(coef * window, axis=1)
+        window = np.concatenate([window[:, 1:], preds[t][:, None]], axis=1)
+    return preds.reshape((t_f,) + past.shape[1:])
 
 
 BASELINES = {

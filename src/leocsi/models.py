@@ -232,7 +232,8 @@ class Model:
     def predict_batch(self, past: np.ndarray, origin_slot: int = 0) -> np.ndarray:
         """[B, t_p, K, N] complex history -> [B, t_f, K, N] complex output."""
         x_norm, stats = preprocess(past)
-        leaves = self.params.leaves()
+        # Constant leaves: no op records parents or a backward closure.
+        leaves = {name: Tensor(p.data) for name, p in self.params.items()}
         pred = self.forward_graph(leaves, x_norm, stats, origin_slot)
         real = pred.data
         if self.cfg.head == "bf":

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from leocsi.beamform import (
     LinkConfig,
+    _wmmse_w_update,
     mrt,
     sinr,
     sum_rate,
@@ -129,3 +130,27 @@ def test_emitted_beamformers_meet_power_budget(seed, k):
     H = _random_channel(k, 6, seed=seed)
     for W in (mrt(H, 1.5), zero_forcing(H, 1.5), wmmse(H, 1.5, 0.1)[0]):
         assert np.sum(np.abs(W) ** 2) == pytest.approx(1.5, rel=1e-6)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 4),
+    n=st.integers(1, 8),
+    total_power=st.floats(0.1, 10.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_wmmse_w_update_stays_within_budget(seed, k, n, total_power):
+    rng = np.random.default_rng(seed)
+    H = _random_channel(k, n, seed) * 10.0 ** rng.uniform(-2, 1)
+    lam = 10.0 ** rng.uniform(0, 2, k)
+    u = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.uniform(-2, 1)
+    W = _wmmse_w_update(H, lam, u, total_power)
+    power = float(np.sum(np.abs(W) ** 2))
+    assert power <= total_power * (1.0 + 1e-12)
+    # Either W is the unconstrained (mu = 0) solution A w_k = b_k, or the
+    # multiplier search ended within its tolerance of the budget.
+    A = sum(lam[j] * abs(u[j]) ** 2 * np.outer(H[j], H[j].conj()) for j in range(k))
+    B = (lam * np.conj(u))[:, None] * H
+    residual = np.linalg.norm(A @ W.T - B.T)
+    scale = np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(B)
+    assert residual <= 1e-12 * scale or power >= total_power * (1.0 - 1e-8)

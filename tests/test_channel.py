@@ -141,3 +141,31 @@ def test_episode_input_validation():
         generate_episode(cfg, np.zeros(cfg.num_devices + 1), 4, 0)
     with pytest.raises(ValueError):
         sample_device_params(cfg, -1.0, 0)
+
+
+@given(
+    full=st.booleans(),
+    compensate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    slots=st.integers(1, 6),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_episode_matches_per_slot_reference(full, compensate, seed, slots, data):
+    base = ScenarioConfig() if full else desk_scenario()
+    cfg = base.replace(compensate_sat_doppler=compensate, sat_doppler_residual_hz=300.0)
+    speeds = np.array(
+        data.draw(st.lists(st.floats(0.0, 60.0), min_size=cfg.num_devices,
+                           max_size=cfg.num_devices))
+    )
+    ep = generate_episode(cfg, speeds, slots, rng_seed=seed)
+    ref = np.empty_like(ep.data)
+    for k, speed in enumerate(speeds):
+        sub_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+        params = sample_device_params(cfg, speed, sub_seed)
+        ref[:, k] = np.stack([
+            channel_at(t * cfg.slot_interval_s, cfg.carrier_hz, params, cfg.geometry,
+                       cfg.rician_linear)
+            for t in range(slots)
+        ])
+    assert np.max(np.abs(ep.data - ref)) < 1e-12

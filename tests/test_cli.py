@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, run artifacts."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from leocsi.channel import CsiTensor
 from leocsi.cli import EXIT_CONFIG, EXIT_DATA, main
 from leocsi.config import desk_scenario
-from leocsi.dataset import DatasetMeta, SampleRecord, build_dataset, save_dataset
+from leocsi.dataset import DatasetMeta, SampleRecord, build_dataset, load_dataset, save_dataset
+from leocsi.evaluation import BASELINES, eval_nmse
 
 
 def run(*argv):
@@ -102,6 +104,60 @@ def test_sweep_velocity(cli_dataset, tmp_path):
     run_dir = _one_run_dir(out)
     assert os.path.isfile(os.path.join(run_dir, "sweep.csv"))
     assert os.path.isfile(os.path.join(run_dir, "sweep.json"))
+
+
+def _sweep_snr(dataset, out, snrs):
+    return run(
+        "--desk", "--out", out, "--set", f"sweep.snrs_db={json.dumps(snrs)}",
+        "sweep", "--kind", "snr", "--dataset", dataset, "--baseline", "persistence",
+    )
+
+
+def test_sweep_snr_renoises_clean_histories(cli_dataset, tmp_path):
+    # At a nominal 60 dB the re-noised histories are nearly clean, so the
+    # sweep must read like eval on a noise-free rebuild of the split, not
+    # like eval on its stored 15 dB histories.
+    test_dir = os.path.join(cli_dataset, "test")
+    out = str(tmp_path / "runs")
+    assert _sweep_snr(test_dir, out, [60.0]) == 0
+    doc = json.loads(open(os.path.join(_one_run_dir(out), "sweep.json")).read())
+    swept = doc["values"]["persistence"][0]
+
+    meta, noisy = load_dataset(test_dir)
+    _, clean = build_dataset(meta.scenario, meta.m, "test", meta.t_p, meta.t_f,
+                             seed=meta.seed, test_snr_db=float("inf"))
+    on_clean = eval_nmse(BASELINES["persistence"], clean)
+    on_noisy = eval_nmse(BASELINES["persistence"], noisy)
+    assert abs(swept - on_clean) < 1e-3
+    assert abs(swept - on_noisy) > 10 * abs(swept - on_clean)
+
+
+@pytest.mark.parametrize("case", ["train split", "wrong seed"])
+def test_sweep_snr_needs_a_rebuildable_test_split(cli_dataset, tmp_path, capsys, case):
+    if case == "train split":
+        dataset = os.path.join(cli_dataset, "train")
+    else:
+        dataset = str(tmp_path / "test")
+        shutil.copytree(os.path.join(cli_dataset, "test"), dataset)
+        meta_path = os.path.join(dataset, "meta.json")
+        doc = json.loads(open(meta_path).read())
+        doc["seed"] += 1
+        with open(meta_path, "w") as fh:
+            json.dump(doc, fh)
+    out = str(tmp_path / "runs")
+    assert _sweep_snr(dataset, out, [10.0]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_sweep_unknown_baseline_is_config_error(cli_dataset, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code = run("--desk", "--out", out, "sweep", "--kind", "velocity",
+               "--dataset", os.path.join(cli_dataset, "test"), "--baseline", "nope")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: unknown baseline 'nope'"]
+    assert not os.path.exists(out)
 
 
 def test_eval_static_channel_floor(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leocsi.channel import CsiTensor
 from leocsi.config import desk_scenario
@@ -129,3 +130,51 @@ def test_experiment_result_accumulates():
     res.add("a", 0.1)
     res.add("a", 0.2)
     assert res.values == {"a": [0.1, 0.2]}
+
+
+def _ar_lstsq_reference(past, t_f, order):
+    """Per-series least squares and rollout, one (device, antenna) entry at a time."""
+    t_p = past.shape[0]
+    preds = np.empty((t_f,) + past.shape[1:], dtype=complex)
+    for idx in np.ndindex(*past.shape[1:]):
+        series = past[(slice(None),) + idx]
+        X = np.stack([series[i : i + order] for i in range(t_p - order)])
+        coef = np.linalg.lstsq(X, series[order:], rcond=None)[0]
+        window = list(series[-order:])
+        for t in range(t_f):
+            preds[(t,) + idx] = np.dot(coef, window)
+            window = window[1:] + [preds[(t,) + idx]]
+    return preds
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    order=st.sampled_from([1, 2]),
+    t_p=st.integers(4, 16),
+    t_f=st.integers(1, 4),
+    k=st.integers(1, 3),
+    n=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_ar_matches_lstsq_reference(seed, order, t_p, t_f, k, n):
+    rng = np.random.default_rng(seed)
+    past = rng.standard_normal((t_p, k, n)) + 1j * rng.standard_normal((t_p, k, n))
+    got = ar_baseline(past, t_f, order=order)
+    ref = _ar_lstsq_reference(past, t_f, order)
+    assert got.shape == (t_f, k, n)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_ar_singular_gram_warns_once_and_stays_finite():
+    # A constant series makes the order-2 normal equations singular; the
+    # well-conditioned series beside it must keep its exact fit.
+    t = np.arange(10)
+    past = np.empty((10, 1, 2), dtype=complex)
+    past[:, 0, 0] = 1.5 - 0.5j
+    past[:, 0, 1] = np.exp(1j * 0.4 * t) + 0.5 * np.exp(-1j * 1.1 * t)
+    with pytest.warns(UserWarning, match="ridge fallback") as record:
+        pred = ar_baseline(past[:8], 2, order=2)
+    assert len(record) == 1
+    assert np.all(np.isfinite(pred))
+    assert np.allclose(pred[:, 0, 0], 1.5 - 0.5j, atol=1e-5)
+    assert np.allclose(pred[:, 0, 1], past[8:, 0, 1], atol=1e-8)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from leocsi.autodiff import Tensor
 from leocsi.models import (
     Model,
     ModelConfig,
@@ -75,6 +76,31 @@ def test_csi_head_shapes_and_determinism():
     assert np.array_equal(out, again)
     different = Model(TINY, seed=1).predict_batch(past)
     assert not np.array_equal(out, different)
+
+
+@pytest.mark.parametrize("head", ["csi", "bf"])
+def test_inference_builds_no_backward_graph(head, monkeypatch):
+    cfg = desk_model_config(
+        t_p=4, t_f=2, d_enc=16, d_llm=16, encoder_layers=1, backbone_layers=1,
+        heads=2, lora_rank=2, head=head,
+    )
+    model = Model(cfg, seed=0)
+    past = _random_past(cfg, seed=7)
+    x_norm, stats = preprocess(past)
+    graph = to_complex(model.forward_graph(model.params.leaves(), x_norm, stats).data)
+
+    linked = []
+    init = Tensor.__init__
+
+    def counting_init(self, data, parents=(), backward=None, requires_grad=False):
+        init(self, data, parents, backward, requires_grad)
+        if self._parents or self.requires_grad:
+            linked.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    out = model.predict_batch(past)
+    assert linked == []
+    assert np.array_equal(out, graph)
 
 
 def test_bf_head_unit_power_per_slot():
