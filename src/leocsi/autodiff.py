@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,15 +212,6 @@ def tanh(a: Tensor) -> Tensor:
         a._accumulate(g * (1.0 - out_val * out_val))
 
     return _node(out_val, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return _node(a.data * mask, (a,), backward)
 
 
 # -- structural ---------------------------------------------------------

@@ -7,23 +7,8 @@ full power budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    noise_power: float
-    total_power: float
-
-    def __post_init__(self):
-        if self.noise_power <= 0 or self.total_power <= 0:
-            raise ValueError("noise and total power must be positive")
-
-
-class WmmseError(Exception):
-    """Raised when the power-multiplier search cannot bracket the budget."""
 
 
 def sinr(H: np.ndarray, W: np.ndarray, noise_power: float) -> np.ndarray:
@@ -75,6 +60,9 @@ def zero_forcing(H: np.ndarray, total_power: float) -> np.ndarray:
 def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
     """Weighted-MMSE transmit update with a safeguarded search on the power multiplier.
 
+    The problem is solved on the range of ``A``, the row span of ``H``: its
+    eigen-directions at or below ``matrix_rank``'s default tolerance hold
+    rounding noise, and the right-hand sides have no part along them.
     The returned beamformer's power never exceeds ``total_power``: the search
     keeps a bracket ``lo < mu <= hi`` with ``power(lo) > total_power >=
     power(hi)`` and returns the solution at ``hi`` once the bracket is
@@ -85,8 +73,10 @@ def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
     B = (lam * np.conj(u))[:, None] * H  # [K, N] right-hand sides
 
     # Diagonalize once; with c = sum_k |Q^H b_k|^2 each multiplier probe is
-    # a length-N dot product.
+    # a dot product over the rank of A.
     evals, Q = np.linalg.eigh(A)
+    keep = evals > evals.max() * A.shape[0] * np.finfo(float).eps
+    evals, Q = evals[keep], Q[:, keep]
     Bq = B @ Q.conj()  # rows are Q^H b_i
     c = np.sum(np.abs(Bq) ** 2, axis=0)
 
@@ -97,7 +87,7 @@ def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
         return float(c @ (evals + mu) ** -2)
 
     # Interior solution: already within budget at mu = 0.
-    if evals.min() > 1e-14 and power(0.0) <= total_power:
+    if power(0.0) <= total_power:
         return solve(0.0)
 
     target = total_power ** -0.5
@@ -121,14 +111,14 @@ def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
             break
         mu *= 2.0
     else:
-        raise WmmseError(f"cannot bracket power multiplier, mu={mu}")
+        raise FloatingPointError(f"cannot bracket WMMSE power multiplier, mu={mu}")
 
     # psi is concave and increasing in mu, so a Newton step on psi from lo
     # stops short of the root and the secant through lo and hi overshoots it:
     # each round closes the bracket from both ends.  The Newton step is held
     # inside the final tolerance below hi, steps outside the bracket are
     # skipped, and a round that does not halve the bracket ends in bisection.
-    # lo = 0 is never probed, since mu = 0 can be a pole of power(mu).
+    # lo = 0 is never probed, so a round that starts there only bisects.
     for _ in range(400):
         width = hi - lo
         if width < inner_tol * max(1.0, hi):

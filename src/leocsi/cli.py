@@ -21,19 +21,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ScenarioConfig, desk_scenario
-from .dataset import DatasetError, build_dataset, load_dataset, save_dataset
+from .dataset import (
+    DatasetError,
+    DimensionMismatchError,
+    build_dataset,
+    load_dataset,
+    save_dataset,
+)
 from .evaluation import (
     BASELINES,
     eval_nmse,
     snr_sweep,
     velocity_sweep,
 )
-from .models import Model, ModelConfig, desk_model_config
+from .models import Model, ModelConfig, desk_model_config, preprocess
 from .training import (
     TrainConfig,
     build_finetune_model,
     finetune_bf,
     finetune_cp,
+    nmse_loss_graph,
     pretrain_backbone,
 )
 
@@ -48,8 +55,9 @@ class ConfigError(Exception):
     pass
 
 
-def _dataclass_from_section(cls, section: dict, name: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
+def _replace_section(base, section: dict, name: str):
+    """``base`` with the keys of one config section applied and validated."""
+    allowed = {f.name for f in dataclasses.fields(base)}
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
@@ -57,7 +65,7 @@ def _dataclass_from_section(cls, section: dict, name: str):
         k: tuple(v) if isinstance(v, list) else v for k, v in section.items()
     }
     try:
-        return cls(**coerced)
+        return dataclasses.replace(base, **coerced)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{name}' section: {exc}") from exc
 
@@ -90,18 +98,26 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def resolve(doc: dict, desk: bool):
-    scenario = (
-        desk_scenario(**doc["scenario"])
-        if desk
-        else _dataclass_from_section(ScenarioConfig, doc["scenario"], "scenario")
+    """Scenario, model and train configs: the full or desk preset plus ``doc``."""
+    if desk:
+        scenario, model = desk_scenario(), desk_model_config()
+    else:
+        scenario, model = ScenarioConfig(), ModelConfig()
+    return (
+        _replace_section(scenario, doc["scenario"], "scenario"),
+        _replace_section(model, doc["model"], "model"),
+        _replace_section(TrainConfig(), doc["train"], "train"),
     )
-    model = (
-        desk_model_config(**doc["model"])
-        if desk
-        else _dataclass_from_section(ModelConfig, doc["model"], "model")
-    )
-    train = _dataclass_from_section(TrainConfig, doc["train"], "train")
-    return scenario, model, train
+
+
+def _check_split(meta, model_cfg: ModelConfig):
+    """A training split must have the model's slot counts and CSI image size."""
+    split = (meta.t_p, meta.t_f, meta.scenario.num_devices, meta.scenario.num_antennas)
+    model = (model_cfg.t_p, model_cfg.t_f, model_cfg.num_devices, model_cfg.num_antennas)
+    if split != model:
+        raise DimensionMismatchError(
+            f"dataset (t_p, t_f, K, N) = {split} does not match the model's {model}"
+        )
 
 
 def _hash_file(path: str) -> str:
@@ -165,8 +181,9 @@ def cmd_generate(args, doc):
 
 
 def cmd_pretrain(args, doc):
-    scenario, model_cfg, train_cfg = resolve(doc, args.desk)
-    _, records = load_dataset(args.dataset)
+    _, model_cfg, train_cfg = resolve(doc, args.desk)
+    meta, records = load_dataset(args.dataset)
+    _check_split(meta, model_cfg)
     run_dir = make_run_dir(args.out, args.seed)
     store, trace = pretrain_backbone(records, model_cfg, train_cfg, seed=args.seed)
     if not np.isfinite(trace[-1]):
@@ -189,7 +206,8 @@ def _write_trace(run_dir: str, trace: list[float]):
 def _cmd_train(args, doc, head: str):
     scenario, model_cfg, train_cfg = resolve(doc, args.desk)
     model_cfg = dataclasses.replace(model_cfg, head=head)
-    _, records = load_dataset(args.dataset)
+    meta, records = load_dataset(args.dataset)
+    _check_split(meta, model_cfg)
     run_dir = make_run_dir(args.out, args.seed)
     if args.backbone:
         pretrained = ad.load_params(args.backbone)
@@ -282,11 +300,6 @@ def cmd_sweep(args, doc):
 
 
 def cmd_grad_check(args, doc):
-    from . import autodiff as adf
-    from .models import desk_model_config, init_model_params, preprocess
-    from .training import nmse_loss_graph
-    from .models import Model
-
     cfg = desk_model_config(
         t_p=4, t_f=2, num_devices=2, num_antennas=4, d_enc=16, d_llm=16,
         encoder_layers=1, backbone_layers=1, heads=2, lora_rank=2,
@@ -307,7 +320,7 @@ def cmd_grad_check(args, doc):
         pred = model.forward_graph(leaves, x_norm, stats)
         return nmse_loss_graph(pred, future)
 
-    err = adf.grad_check(f, model.params, max_entries=3)
+    err = ad.grad_check(f, model.params, max_entries=3)
     print(f"max relative gradient error: {err:.3e}")
     if err >= 1e-4:
         print("gradient check FAILED", file=sys.stderr)

@@ -6,7 +6,7 @@ Default values follow the standard LEO MISO evaluation setup: a 4x4 UPA at
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 # Propagation speed used for Doppler and delay conversions.  Kept at the
@@ -19,10 +19,6 @@ KMH_TO_MPS = 1000.0 / 3600.0
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .beamform import mrt, sum_rate, wmmse
+from .beamform import mrt, wmmse
 from .dataset import SampleRecord, add_estimation_noise
-from .channel import CsiTensor
 
 
 def nmse_linear(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -178,94 +176,6 @@ def snr_sweep(
                 for j, r in enumerate(clean_records)
             ]
             result.add(label, eval_nmse(predictor, noisy))
-    return result
-
-
-def history_sweep(
-    predictors: dict, records: list[SampleRecord], lengths: list[int], seed: int = 0
-) -> ExperimentResult:
-    """NMSE vs history length; histories are truncated to the newest slots."""
-    result = ExperimentResult("t_p", "nmse_db", seed, points=[float(v) for v in lengths])
-    t_f = records[0].future.num_slots
-    for label, predictor in predictors.items():
-        for t_p in lengths:
-            preds, truths = [], []
-            for rec in records:
-                if rec.past.num_slots < t_p:
-                    raise ValueError(f"records too short for t_p={t_p}")
-                preds.append(predictor(rec.past.data[-t_p:], t_f))
-                truths.append(rec.future.data)
-            result.add(label, nmse_metric(preds, truths))
-    return result
-
-
-def power_sweep(
-    beamformers: dict,
-    records: list[SampleRecord],
-    powers: list[float],
-    noise_power: float,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Mean per-slot sum rate vs transmit power, evaluated on true future CSI.
-
-    Each beamformer is a callable (past, future_shape, total_power) ->
-    complex [t_f, K, N].
-    """
-    result = ExperimentResult("total_power", "sum_rate", seed, points=list(powers))
-    for label, bf in beamformers.items():
-        for p_t in powers:
-            rates = []
-            for rec in records:
-                w = bf(rec.past.data, rec.future.data.shape, p_t)
-                for t in range(rec.future.num_slots):
-                    rates.append(sum_rate(rec.future.data[t], w[t], noise_power))
-            result.add(label, float(np.mean(rates)))
-    return result
-
-
-def device_count_sweep(
-    beamformer_factory,
-    datasets: dict[int, list[SampleRecord]],
-    noise_power: float,
-    total_power: float,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Sum rate vs device count over per-K test datasets."""
-    counts = sorted(datasets)
-    result = ExperimentResult("num_devices", "sum_rate", seed, points=[float(c) for c in counts])
-    for k in counts:
-        records = datasets[k]
-        bfs = beamformer_factory(k)
-        for label, bf in bfs.items():
-            rates = []
-            for rec in records:
-                w = bf(rec.past.data, rec.future.data.shape, total_power)
-                for t in range(rec.future.num_slots):
-                    rates.append(sum_rate(rec.future.data[t], w[t], noise_power))
-            result.add(label, float(np.mean(rates)))
-    return result
-
-
-def horizon_sweep(
-    parallel_model,
-    ar_model,
-    records: list[SampleRecord],
-    seed: int = 0,
-) -> ExperimentResult:
-    """Per-slot NMSE of parallel vs autoregressive decoding."""
-    t_f = records[0].future.num_slots
-    result = ExperimentResult("horizon_slot", "nmse_db", seed, points=[float(t + 1) for t in range(t_f)])
-    par = [parallel_model.predict(rec.past) for rec in records]
-    aro = [ar_model.predict_autoregressive(rec.past, t_f) for rec in records]
-    for label, preds in (("parallel", par), ("autoregressive", aro)):
-        for t in range(t_f):
-            result.add(
-                label,
-                nmse_metric(
-                    [p[t][None] for p in preds],
-                    [rec.future.data[t][None] for rec in records],
-                ),
-            )
     return result
 
 

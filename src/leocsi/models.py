@@ -21,6 +21,7 @@ from .autodiff import ParamStore, Tensor
 from .channel import CsiTensor
 
 SIGMA_FLOOR = 1e-6
+PE_PERIOD = 10_000  # absolute slot indices wrap at this period
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,6 @@ class ModelConfig:
     lora_alpha: float = 32.0
     total_power: float = 1.0
     head: str = "csi"  # "csi" or "bf"
-    pe_index: str = "absolute"  # or "relative"
-    pe_period: int = 10_000
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.d_enc <= 0 or self.d_llm <= 0:
@@ -133,16 +131,9 @@ def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
 
 
 def temporal_encoding(cfg: ModelConfig, origin_slot: int) -> np.ndarray:
-    """[t_p, d_llm] sinusoidal temporal positions for one history window."""
-    if cfg.pe_index == "absolute":
-        base = origin_slot
-    else:
-        base = 0
+    """[t_p, d_llm] sinusoidal positions of one window's absolute slot indices."""
     return np.stack(
-        [
-            nn.sinusoidal_pe((base + t) % cfg.pe_period, cfg.d_llm)
-            for t in range(cfg.t_p)
-        ]
+        [nn.sinusoidal_pe((origin_slot + t) % PE_PERIOD, cfg.d_llm) for t in range(cfg.t_p)]
     )
 
 
@@ -154,12 +145,12 @@ def encode_csi(leaves, cfg: ModelConfig, images: Tensor, origin_slot: int = 0) -
     x = ad.concat([cls, tokens], axis=2)
     x = x + leaves["encoder.pos"]
     for i in range(cfg.encoder_layers):
-        x = nn.encoder_layer(leaves, f"encoder.l{i}", x, cfg.heads, cfg.activation)
+        x = nn.encoder_layer(leaves, f"encoder.l{i}", x, cfg.heads)
     x = ad.layer_norm(x, leaves["encoder.lnf.g"], leaves["encoder.lnf.b"])
     feature = x[:, :, 0, :]  # readout token state, [B, t_p, d_enc]
     token = nn.linear(
         leaves, "encoder.proj.fc2",
-        nn.ACTIVATIONS[cfg.activation](nn.linear(leaves, "encoder.proj.fc1", feature)),
+        ad.gelu(nn.linear(leaves, "encoder.proj.fc1", feature)),
     )
     return token + ad.constant(temporal_encoding(cfg, origin_slot))
 
@@ -174,7 +165,6 @@ def backbone_forward(leaves, cfg: ModelConfig, emb: Tensor) -> Tensor:
             lora_prefix=lora_prefix,
             lora_rank=cfg.lora_rank,
             lora_alpha=cfg.lora_alpha,
-            act=cfg.activation,
         )
     return ad.layer_norm(x, leaves["backbone.lnf.g"], leaves["backbone.lnf.b"])
 
@@ -183,7 +173,7 @@ def head_mlp(leaves, cfg: ModelConfig, llm_out: Tensor) -> Tensor:
     """Two-layer MLP from flattened backbone output to [B, t_f, 2, K, N]."""
     b = llm_out.shape[0]
     x = ad.reshape(llm_out, (b, cfg.t_p * cfg.d_llm))
-    x = nn.ACTIVATIONS[cfg.activation](nn.linear(leaves, "decoder.fc1", x))
+    x = ad.gelu(nn.linear(leaves, "decoder.fc1", x))
     x = nn.linear(leaves, "decoder.fc2", x)
     return ad.reshape(x, (b, cfg.t_f, 2, cfg.num_devices, cfg.num_antennas))
 
@@ -282,17 +272,3 @@ class Model:
         with open(os.path.join(path, "model.json"), "r", encoding="utf-8") as fh:
             cfg = ModelConfig(**json.load(fh))
         return cls(cfg, params=ad.load_params(path))
-
-
-def cpllm_predict(past, model: Model) -> np.ndarray:
-    """Parallel multi-slot CSI prediction (single forward pass)."""
-    if model.cfg.head != "csi":
-        raise ValueError("cpllm_predict requires a CSI-head model")
-    return model.predict(past)
-
-
-def bfllm_predict(past, model: Model) -> np.ndarray:
-    """Direct beamforming prediction for the future slots."""
-    if model.cfg.head != "bf":
-        raise ValueError("bfllm_predict requires a beamforming-head model")
-    return model.predict(past)

@@ -117,20 +117,21 @@ def attention(
     return linear(leaves, f"{prefix}.o", ctx)
 
 
-ACTIVATIONS = {"gelu": ad.gelu, "relu": ad.relu}
-
-
-def _mlp_block(leaves, prefix: str, x: Tensor, act: str) -> Tensor:
-    hidden = ACTIVATIONS[act](linear(leaves, f"{prefix}.fc1", x))
-    return linear(leaves, f"{prefix}.fc2", hidden)
-
-
-def encoder_layer(leaves, prefix: str, x: Tensor, heads: int, act: str = "gelu") -> Tensor:
-    """Pre-norm residual Transformer encoder layer."""
+def _layer(leaves, prefix, x, heads, causal, lora_prefix, lora_rank, lora_alpha):
+    """Pre-norm residual Transformer layer shared by the encoder and decoder."""
     h = ad.layer_norm(x, leaves[f"{prefix}.ln1.g"], leaves[f"{prefix}.ln1.b"])
-    x = x + attention(leaves, f"{prefix}.attn", h, heads)
+    x = x + attention(
+        leaves, f"{prefix}.attn", h, heads, causal=causal,
+        lora_prefix=lora_prefix, lora_rank=lora_rank, lora_alpha=lora_alpha,
+    )
     h = ad.layer_norm(x, leaves[f"{prefix}.ln2.g"], leaves[f"{prefix}.ln2.b"])
-    return x + _mlp_block(leaves, f"{prefix}.mlp", h, act)
+    hidden = ad.gelu(linear(leaves, f"{prefix}.mlp.fc1", h))
+    return x + linear(leaves, f"{prefix}.mlp.fc2", hidden)
+
+
+def encoder_layer(leaves, prefix: str, x: Tensor, heads: int) -> Tensor:
+    """Pre-norm residual Transformer encoder layer."""
+    return _layer(leaves, prefix, x, heads, False, None, 0, 0.0)
 
 
 def decoder_layer(
@@ -141,22 +142,9 @@ def decoder_layer(
     lora_prefix: str | None = None,
     lora_rank: int = 0,
     lora_alpha: float = 0.0,
-    act: str = "gelu",
 ) -> Tensor:
     """Pre-norm residual causal decoder layer with optional Q/K/V LoRA."""
-    h = ad.layer_norm(x, leaves[f"{prefix}.ln1.g"], leaves[f"{prefix}.ln1.b"])
-    x = x + attention(
-        leaves,
-        f"{prefix}.attn",
-        h,
-        heads,
-        causal=True,
-        lora_prefix=lora_prefix,
-        lora_rank=lora_rank,
-        lora_alpha=lora_alpha,
-    )
-    h = ad.layer_norm(x, leaves[f"{prefix}.ln2.g"], leaves[f"{prefix}.ln2.b"])
-    return x + _mlp_block(leaves, f"{prefix}.mlp", h, act)
+    return _layer(leaves, prefix, x, heads, True, lora_prefix, lora_rank, lora_alpha)
 
 
 def sinusoidal_pe(t: float, d: int) -> np.ndarray:

@@ -7,14 +7,14 @@ fresh encoder/decoder weights adapt the model to shifted scenarios.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, ParamStore, Tensor
 from .dataset import SampleRecord
-from .models import Model, ModelConfig, NormStats, preprocess
+from .models import Model, ModelConfig, preprocess
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,12 @@ class TrainConfig:
     clip_norm: float | None = 1.0
     max_steps: int | None = None
     noise_power: float = 0.1  # used by the beamforming loss
-    schedule: str = "constant"  # or "cosine"
-    warmup_steps: int = 0
 
     def __post_init__(self):
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
         if self.freeze not in ("backbone", "none"):
             raise ValueError("freeze must be 'backbone' or 'none'")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError("schedule must be 'constant' or 'cosine'")
-
-    def lr_at(self, step: int, total_steps: int) -> float:
-        """Learning rate for a zero-based step index."""
-        if self.warmup_steps > 0 and step < self.warmup_steps:
-            return self.lr * (step + 1) / self.warmup_steps
-        if self.schedule == "constant":
-            return self.lr
-        span = max(1, total_steps - self.warmup_steps)
-        frac = min(1.0, (step - self.warmup_steps) / span)
-        return 0.5 * self.lr * (1.0 + np.cos(np.pi * frac))
 
 
 # -- losses -------------------------------------------------------------
@@ -141,21 +127,6 @@ def backbone_checksum(store: ParamStore) -> str:
     return digest.hexdigest()
 
 
-def adopt_backbone(model: Model, source: ParamStore) -> None:
-    """Copy pretrained backbone base weights into a model in place."""
-    for name in model.params.names():
-        if name.startswith("backbone."):
-            if name not in source:
-                raise KeyError(f"pretrained store lacks {name}")
-            if source[name].data.shape != model.params[name].data.shape:
-                raise ValueError(f"backbone shape mismatch at {name}")
-            model.params[name].data[...] = source[name].data
-
-
-def trainable_param_count(model: Model) -> int:
-    return model.params.num_params(trainable_only=True)
-
-
 def expected_trainable_count(cfg: ModelConfig, store: ParamStore) -> int:
     """Closed-form count: encoder + decoder + 2*r*d_llm per Q/K/V per layer."""
     enc_dec = sum(
@@ -198,17 +169,12 @@ def _run_training(
 
     opt = AdamW(lr=tc.lr, betas=tc.betas, weight_decay=tc.weight_decay)
     rng = np.random.default_rng(tc.seed)
-    steps_per_epoch = -(-m // tc.batch)
-    total_steps = tc.epochs * steps_per_epoch
-    if tc.max_steps is not None:
-        total_steps = min(total_steps, tc.max_steps)
     trace: list[float] = []
     steps = 0
     for _ in range(tc.epochs):
         perm = rng.permutation(m)
         for lo in range(0, m, tc.batch):
             idx = perm[lo : lo + tc.batch]
-            opt.lr = tc.lr_at(steps, total_steps)
             x_norm, stats = preprocess(past[idx])
             leaves = model.params.leaves()
             pred = model.forward_graph(leaves, x_norm, stats)
@@ -266,30 +232,21 @@ def pretrain_backbone(
     return model.params, trace
 
 
-def build_finetune_model(
-    cfg: ModelConfig, pretrained: ParamStore, seed: int = 0, adopt: str = "all"
-) -> Model:
+def build_finetune_model(cfg: ModelConfig, pretrained: ParamStore, seed: int = 0) -> Model:
     """Model warm-started from a pretrained store, backbone frozen.
 
-    ``adopt="all"`` copies every matching pretrained weight (encoder,
-    backbone, decoder); LoRA adapters are freshly zero-initialized so the
-    warm-started model computes exactly the pretrained function at rank 0
-    and at any rank before the first optimizer step.  ``adopt="backbone"``
-    copies only the frozen backbone and leaves encoder/decoder at their
-    fresh initialization.
+    Every matching pretrained weight (encoder, backbone, decoder) is copied;
+    LoRA adapters are freshly zero-initialized so the warm-started model
+    computes exactly the pretrained function at rank 0 and at any rank
+    before the first optimizer step.
     """
-    if adopt not in ("all", "backbone"):
-        raise ValueError("adopt must be 'all' or 'backbone'")
     model = Model(cfg, seed=seed)
-    if adopt == "all":
-        for name in model.params.names():
-            if name.startswith("lora."):
-                continue
-            if name in pretrained:
-                if pretrained[name].data.shape != model.params[name].data.shape:
-                    raise ValueError(f"pretrained shape mismatch at {name}")
-                model.params[name].data[...] = pretrained[name].data
-    else:
-        adopt_backbone(model, pretrained)
+    for name in model.params.names():
+        if name.startswith("lora."):
+            continue
+        if name in pretrained:
+            if pretrained[name].data.shape != model.params[name].data.shape:
+                raise ValueError(f"pretrained shape mismatch at {name}")
+            model.params[name].data[...] = pretrained[name].data
     model.params.freeze("backbone.")
     return model

@@ -57,8 +57,7 @@ def test_exp_log_sqrt():
 
 
 def test_tanh_relu_gelu():
-    # Offset away from the ReLU kink so finite differences are valid.
-    check(lambda a: ad.tsum(ad.tanh(a) + ad.relu(a + 5.0) + ad.gelu(a)), (7,))
+    check(lambda a: ad.tsum(ad.tanh(a) + ad.gelu(a)), (7,))
 
 
 def test_matmul_2d():

@@ -1,10 +1,11 @@
 """Classical beamformers and link metrics."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leocsi.beamform import (
-    LinkConfig,
     _wmmse_w_update,
     mrt,
     sinr,
@@ -17,13 +18,6 @@ from leocsi.beamform import (
 def _random_channel(k, n, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
-
-
-def test_link_config_validation():
-    with pytest.raises(ValueError):
-        LinkConfig(noise_power=0.0, total_power=1.0)
-    with pytest.raises(ValueError):
-        LinkConfig(noise_power=0.1, total_power=-1.0)
 
 
 def test_sinr_hand_computed():
@@ -154,3 +148,24 @@ def test_wmmse_w_update_stays_within_budget(seed, k, n, total_power):
     residual = np.linalg.norm(A @ W.T - B.T)
     scale = np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(B)
     assert residual <= 1e-12 * scale or power >= total_power * (1.0 - 1e-8)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    extra=st.integers(1, 5),
+    log_scale=st.floats(0.0, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_wmmse_w_update_stays_in_row_span(seed, k, extra, log_scale):
+    # With K < N, A = sum_j weights_j h_j h_j^H has N - K eigenvalues that are
+    # rounding noise scaled by ||A||; W must not gain a part along them.
+    rng = np.random.default_rng(seed)
+    H = _random_channel(k, k + extra, seed) * 10.0**log_scale
+    lam = 10.0 ** rng.uniform(0, 2, k)
+    u = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.uniform(-2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = _wmmse_w_update(H, lam, u, 1.0)
+    outside = W - W @ np.linalg.pinv(H) @ H
+    assert np.linalg.norm(outside) <= 1e-9 * np.linalg.norm(W)

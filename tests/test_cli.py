@@ -190,12 +190,32 @@ def test_grad_check_subcommand(tmp_path, capsys):
     assert "max relative gradient error" in capsys.readouterr().out
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"num_devicez": 2}}))
-    code = run("--config", str(bad), "--out", str(tmp_path / "r"),
-               "generate", "--train-count", "1", "--test-count", "1")
-    assert code == EXIT_CONFIG
+    cases = [
+        ["--config", str(bad)],
+        ["--desk", "--set", "scenario.bogus=1"],  # unknown key on the desk preset
+        ["--desk", "--set", "model.patch=3"],  # invalid value on the desk preset
+        ["--set", "model.activation=gelu"],  # not a model option
+    ]
+    for i, flags in enumerate(cases):
+        out = str(tmp_path / f"r{i}")
+        code = run(*flags, "--out", out, "generate", "--train-count", "1", "--test-count", "1")
+        assert code == EXIT_CONFIG, flags
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), flags
+        assert not os.path.exists(out), flags
+
+
+def test_train_shape_mismatch_is_data_error(cli_dataset, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code = run("--desk", "--out", out, "--set", "model.t_p=6",
+               "train-cp", "--dataset", os.path.join(cli_dataset, "train"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert not os.path.exists(out)
 
 
 def test_exit_code_bad_set_syntax(tmp_path):

@@ -7,14 +7,12 @@ from leocsi.models import (
     Model,
     ModelConfig,
     SIGMA_FLOOR,
-    bfllm_predict,
-    cpllm_predict,
     desk_model_config,
     preprocess,
     temporal_encoding,
     to_complex,
 )
-from leocsi.training import expected_trainable_count, trainable_param_count
+from leocsi.training import expected_trainable_count
 
 TINY = desk_model_config(
     t_p=4, t_f=2, d_enc=16, d_llm=16, encoder_layers=1, backbone_layers=1,
@@ -119,11 +117,6 @@ def test_temporal_encoding_shape_and_offset():
     enc5 = temporal_encoding(TINY, 5)
     assert enc0.shape == (TINY.t_p, TINY.d_llm)
     assert not np.array_equal(enc0, enc5)
-    # Relative indexing ignores the window origin.
-    import dataclasses
-
-    rel = dataclasses.replace(TINY, pe_index="relative")
-    assert np.array_equal(temporal_encoding(rel, 0), temporal_encoding(rel, 5))
 
 
 def test_to_complex_round_trip():
@@ -172,12 +165,6 @@ def test_trainable_counts_match_closed_form():
         cfg = desk_model_config(lora_rank=rank)
         model = Model(cfg, seed=0)
         model.params.freeze("backbone.")
-        assert trainable_param_count(model) == expected_trainable_count(cfg, model.params)
-
-
-def test_head_dispatch_helpers():
-    csi = Model(TINY, seed=0)
-    past = _random_past(TINY)[0]
-    assert cpllm_predict(past, csi).shape == (TINY.t_f, TINY.num_devices, TINY.num_antennas)
-    with pytest.raises(ValueError):
-        bfllm_predict(past, csi)
+        assert model.params.num_params(trainable_only=True) == expected_trainable_count(
+            cfg, model.params
+        )

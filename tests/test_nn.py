@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from leocsi import autodiff as ad
 from leocsi import nn
 from leocsi.autodiff import ParamStore, Tensor
 
@@ -119,9 +118,3 @@ def test_sinusoidal_pe_bounded():
     for t in (0, 1, 7, 100, 9999):
         pe = nn.sinusoidal_pe(t, 16)
         assert np.all(np.abs(pe) <= 1.0 + 1e-12)
-
-
-def test_activations_registry():
-    assert set(nn.ACTIVATIONS) == {"gelu", "relu"}
-    x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    assert np.allclose(nn.ACTIVATIONS["relu"](x).data, [0.0, 0.0, 2.0])

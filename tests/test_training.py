@@ -5,10 +5,9 @@ import pytest
 from leocsi.beamform import sum_rate
 from leocsi.config import desk_scenario
 from leocsi.dataset import build_dataset
-from leocsi.models import Model, desk_model_config, preprocess
+from leocsi.models import Model, desk_model_config
 from leocsi.training import (
     TrainConfig,
-    adopt_backbone,
     backbone_checksum,
     bf_loss,
     bf_loss_graph,
@@ -41,18 +40,6 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(freeze="half")
-    with pytest.raises(ValueError):
-        TrainConfig(schedule="linear")
-
-
-def test_lr_schedule():
-    tc = TrainConfig(lr=1.0, schedule="cosine", warmup_steps=10)
-    assert tc.lr_at(0, 100) == pytest.approx(0.1)
-    assert tc.lr_at(9, 100) == pytest.approx(1.0)
-    assert tc.lr_at(10, 100) == pytest.approx(1.0)
-    assert tc.lr_at(99, 100) < 0.01
-    const = TrainConfig(lr=0.5)
-    assert const.lr_at(0, 10) == const.lr_at(9, 10) == 0.5
 
 
 def test_nmse_loss_known_value():
@@ -166,5 +153,5 @@ def test_adopt_backbone_shape_check(tiny_records):
     other = desk_model_config(
         t_p=4, t_f=2, d_enc=16, d_llm=32, encoder_layers=1, backbone_layers=1, heads=2,
     )
-    with pytest.raises((KeyError, ValueError)):
-        adopt_backbone(Model(other, seed=0), store)
+    with pytest.raises(ValueError):
+        build_finetune_model(other, store, seed=0)
