@@ -19,9 +19,8 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64 if np.asarray(data).dtype.kind != "f" else None)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self._parents = tuple(parents)
         self._backward = backward
@@ -59,8 +58,10 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accumulate(self, g):
+        # ``g`` is kept without a copy, so a gradient may share memory with
+        # another node's; no backward step or caller writes into one.
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad = self.grad + g
 
@@ -264,10 +265,25 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for ints, slices, ``...`` and ``None`` (alone or in a tuple)."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items
+    )
+
+
 def getitem(a: Tensor, idx) -> Tensor:
+    # A basic index selects each element at most once, so its gradient can be
+    # assigned; advanced indices may repeat elements and need ``np.add.at``.
+    basic = _is_basic_index(idx)
+
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         a._accumulate(full)
 
     return _node(a.data[idx], (a,), backward)
@@ -299,30 +315,104 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _node(np.broadcast_to(a.data, shape), (a,), backward)
 
 
-# -- composites ---------------------------------------------------------
+# -- fused ---------------------------------------------------------------
 
-_GELU_C = math.sqrt(2.0 / math.pi)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w.T + b`` over the last axis of ``x``; ``w`` is [d_out, d_in].
+
+    The leading axes are flattened into one [rows, d_in] GEMM, so the weight
+    gradient is one [d_out, d_in] product with nothing left to reduce.
+    """
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data.T
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(g2.T @ x2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(out.reshape(x.shape[:-1] + (w.shape[0],)), parents, backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
-    inner = _GELU_C * (a + 0.044715 * a * a * a)
-    return 0.5 * a * (1.0 + tanh(inner))
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale by ``gain`` and shift by ``bias``."""
+    centered = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+
+    def backward(g):
+        if a.requires_grad:
+            gx = g * gain.data
+            a._accumulate(inv_std * (
+                gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            ))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return _node(xhat * gain.data + bias.data, (a, gain, bias), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    # Shifting by a detached max leaves the result (and gradient) unchanged.
-    shift = constant(a.data.max(axis=axis, keepdims=True))
-    e = exp(a - shift)
-    return e / tsum(e, axis=axis, keepdims=True)
+    # Shifting by the max leaves the result (and gradient) unchanged.
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out_val = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        a._accumulate(out_val * (g - (g * out_val).sum(axis=axis, keepdims=True)))
+
+    return _node(out_val, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    mu = tmean(a, axis=axis, keepdims=True)
-    centered = a - mu
-    var = tmean(centered * centered, axis=axis, keepdims=True)
-    return centered / sqrt(var + eps) * gain + bias
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + A x^3))).
+
+    Written with in-place updates of a few full-size buffers: at the MLP
+    widths of the desk model this halves the time of a chain of fresh
+    temporaries.
+    """
+    x = a.data
+    t = x * x
+    t *= _GELU_A * _GELU_C
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    out_val = t + 1.0
+    out_val *= 0.5
+    out_val *= x
+
+    def backward(g):
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 A x^2)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x
+        du = x * x
+        du *= 3.0 * _GELU_A * _GELU_C
+        du += _GELU_C
+        d *= du
+        d += t
+        d += 1.0
+        d *= 0.5
+        d *= g
+        a._accumulate(d)
+
+    return _node(out_val, (a,), backward)
+
+
+# -- composites ---------------------------------------------------------
 
 def log2(a: Tensor) -> Tensor:
     return log(a) * (1.0 / math.log(2.0))

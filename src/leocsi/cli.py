@@ -184,11 +184,8 @@ def cmd_pretrain(args, doc):
     _, model_cfg, train_cfg = resolve(doc, args.desk)
     meta, records = load_dataset(args.dataset)
     _check_split(meta, model_cfg)
-    run_dir = make_run_dir(args.out, args.seed)
     store, trace = pretrain_backbone(records, model_cfg, train_cfg, seed=args.seed)
-    if not np.isfinite(trace[-1]):
-        print("numeric failure: non-finite pretraining loss", file=sys.stderr)
-        return EXIT_NUMERIC
+    run_dir = make_run_dir(args.out, args.seed)
     ad.save_params(os.path.join(run_dir, "backbone"), store)
     _write_trace(run_dir, trace)
     write_manifest(run_dir, doc, [args.dataset])
@@ -208,10 +205,12 @@ def _cmd_train(args, doc, head: str):
     model_cfg = dataclasses.replace(model_cfg, head=head)
     meta, records = load_dataset(args.dataset)
     _check_split(meta, model_cfg)
-    run_dir = make_run_dir(args.out, args.seed)
     if args.backbone:
         pretrained = ad.load_params(args.backbone)
-        model = build_finetune_model(model_cfg, pretrained, seed=args.seed)
+        try:
+            model = build_finetune_model(model_cfg, pretrained, seed=args.seed)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"backbone {args.backbone}: {exc}") from exc
     else:
         model = Model(model_cfg, seed=args.seed)
     if head == "bf":
@@ -219,9 +218,7 @@ def _cmd_train(args, doc, head: str):
         trace = finetune_bf(records, model, train_cfg)
     else:
         trace = finetune_cp(records, model, train_cfg)
-    if not np.isfinite(trace[-1]):
-        print("numeric failure: non-finite training loss", file=sys.stderr)
-        return EXIT_NUMERIC
+    run_dir = make_run_dir(args.out, args.seed)
     model.save(os.path.join(run_dir, "model"))
     _write_trace(run_dir, trace)
     write_manifest(run_dir, doc, [args.dataset] + ([args.backbone] if args.backbone else []))
@@ -254,15 +251,17 @@ def _clean_test_records(meta, records):
 
 
 def cmd_eval(args, doc):
+    resolve(doc, args.desk)
+    baselines = {name: _baseline(name) for name in args.baseline}
+    model = Model.load(args.model) if args.model else None
     _, records = load_dataset(args.dataset)
-    run_dir = make_run_dir(args.out, args.seed)
     results = {}
     t_f = records[0].future.num_slots
-    if args.model:
-        model = Model.load(args.model)
+    if model is not None:
         results["model"] = eval_nmse(lambda past, _tf: model.predict(past), records)
-    for name in args.baseline:
-        results[name] = eval_nmse(_baseline(name), records)
+    for name, baseline in baselines.items():
+        results[name] = eval_nmse(baseline, records)
+    run_dir = make_run_dir(args.out, args.seed)
     with open(os.path.join(run_dir, "eval.json"), "w", encoding="utf-8") as fh:
         json.dump({"nmse_db": results, "t_f": t_f}, fh, indent=2)
     write_manifest(run_dir, doc, [args.dataset])
@@ -273,6 +272,7 @@ def cmd_eval(args, doc):
 
 
 def cmd_sweep(args, doc):
+    resolve(doc, args.desk)
     meta, records = load_dataset(args.dataset)
     predictors = {}
     if args.model:

@@ -45,9 +45,7 @@ def init_lora(store: ParamStore, rng, prefix: str, d: int, rank: int):
 # -- forward blocks -----------------------------------------------------
 
 def linear(leaves, prefix: str, x: Tensor) -> Tensor:
-    w = leaves[f"{prefix}.w"]
-    b = leaves[f"{prefix}.b"]
-    return x @ ad.transpose(w, (1, 0)) + b
+    return ad.linear(x, leaves[f"{prefix}.w"], leaves[f"{prefix}.b"])
 
 
 def lora_linear(
@@ -58,7 +56,7 @@ def lora_linear(
     if rank > 0 and lora_prefix is not None:
         a = leaves[f"{lora_prefix}.a"]  # [r, d_in]
         b = leaves[f"{lora_prefix}.b"]  # [d_out, r]
-        delta = (x @ ad.transpose(a, (1, 0))) @ ad.transpose(b, (1, 0))
+        delta = ad.linear(ad.linear(x, a), b)
         y = y + (alpha / rank) * delta
     return y
 

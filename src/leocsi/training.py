@@ -145,13 +145,13 @@ def _records_to_arrays(records: list[SampleRecord]):
     return past, future
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float):
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
+def _clip_grads(grads: dict[str, np.ndarray], max_norm: float | None):
+    """Global gradient norm, and ``grads`` scaled down to ``max_norm`` if above it."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if max_norm is not None and total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return grads
+        grads = {name: g * scale for name, g in grads.items()}
+    return total, grads
 
 
 def _run_training(
@@ -177,17 +177,23 @@ def _run_training(
             idx = perm[lo : lo + tc.batch]
             x_norm, stats = preprocess(past[idx])
             leaves = model.params.leaves()
-            pred = model.forward_graph(leaves, x_norm, stats)
-            if loss_kind == "cp":
-                loss = nmse_loss_graph(pred, future[idx])
-            else:
-                loss = bf_loss_graph(pred, future[idx], tc.noise_power)
-            loss.backward()
-            grads = ad.collect_grads(leaves)
-            if tc.clip_norm is not None:
-                _clip_grads(grads, tc.clip_norm)
+            # Overflow shows up as a non-finite loss or gradient norm, which
+            # is checked below and reported with its step.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                pred = model.forward_graph(leaves, x_norm, stats)
+                if loss_kind == "cp":
+                    loss = nmse_loss_graph(pred, future[idx])
+                else:
+                    loss = bf_loss_graph(pred, future[idx], tc.noise_power)
+                loss.backward()
+                norm, grads = _clip_grads(ad.collect_grads(leaves), tc.clip_norm)
+            value = float(loss.data)
+            if not (np.isfinite(value) and np.isfinite(norm)):
+                raise FloatingPointError(
+                    f"non-finite training loss {value} or gradient norm {norm} at step {steps}"
+                )
             opt.step(model.params, grads)
-            trace.append(float(loss.data))
+            trace.append(value)
             steps += 1
             if tc.max_steps is not None and steps >= tc.max_steps:
                 return trace

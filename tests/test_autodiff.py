@@ -84,6 +84,19 @@ def test_getitem_accumulates():
     check(lambda a: ad.tsum(a[0] * a[0] + a[0] + a[1]), (3, 4))
 
 
+def test_getitem_basic_slices_accumulate():
+    # Overlapping basic slices (assigned in backward) and an advanced index
+    # that repeats a row (scattered with np.add.at) all add up.
+    weights = np.arange(12.0).reshape(4, 1, 3)
+    check(
+        lambda a: ad.tsum(a[1:3, ::2] * a[1:3, ::2])
+        + ad.tsum(a[:, None, 1, ...] * weights)
+        + ad.tsum(a[..., -1] ** 3)
+        + ad.tsum(a[[0, 0, 2]] ** 2),
+        (4, 6, 3),
+    )
+
+
 def test_sum_mean_axes_keepdims():
     check(lambda a: ad.tsum(ad.tsum(a, axis=1, keepdims=True) * a), (3, 4))
     check(lambda a: ad.tsum(ad.tmean(a, axis=(0, 2)) ** 2), (2, 3, 4))
@@ -95,6 +108,8 @@ def test_broadcast_to():
 
 def test_softmax():
     check(lambda a: ad.tsum(ad.softmax(a, axis=-1) * np.arange(4.0)), (3, 4))
+    weights = np.random.default_rng(3).standard_normal((2, 3, 4))
+    check(lambda a: ad.tsum(ad.softmax(a, axis=-1) * weights), (2, 3, 4))
 
 
 def test_softmax_rows_sum_to_one():
@@ -110,6 +125,11 @@ def test_layer_norm():
         (4,),
         (4,),
         tol=1e-5,
+    )
+    weights = np.random.default_rng(2).standard_normal((2, 3, 5))
+    check(
+        lambda a, g, b: ad.tsum(ad.layer_norm(a, g, b) * weights),
+        (2, 3, 5), (5,), (5,), tol=1e-5,
     )
 
 
@@ -200,3 +220,59 @@ def test_freeze_and_counts():
     assert store.trainable_names() == ["head.w"]
     assert store.num_params() == 7
     assert store.num_params(trainable_only=True) == 3
+
+
+# -- fused ops: finite differences and composite oracles ------------------
+
+def test_linear_4d_with_and_without_bias():
+    weights = np.random.default_rng(1).standard_normal((2, 3, 4, 5))
+    check(lambda x, w, b: ad.tsum(ad.linear(x, w, b) * weights), (2, 3, 4, 6), (5, 6), (5,))
+    check(lambda x, w: ad.tsum(ad.linear(x, w) * weights), (2, 3, 4, 6), (5, 6))
+
+
+def _linear_oracle(x, w, b=None):
+    y = x @ ad.transpose(w, (1, 0))
+    return y if b is None else y + b
+
+
+def _layer_norm_oracle(a, gain, bias, eps=1e-5):
+    centered = a - ad.tmean(a, axis=-1, keepdims=True)
+    var = ad.tmean(centered * centered, axis=-1, keepdims=True)
+    return centered / ad.sqrt(var + eps) * gain + bias
+
+
+def _softmax_oracle(a):
+    e = ad.exp(a - ad.constant(a.data.max(axis=-1, keepdims=True)))
+    return e / ad.tsum(e, axis=-1, keepdims=True)
+
+
+def _gelu_oracle(a):
+    inner = np.sqrt(2.0 / np.pi) * (a + 0.044715 * a * a * a)
+    return 0.5 * a * (1.0 + ad.tanh(inner))
+
+
+@pytest.mark.parametrize(
+    "fused, oracle, shapes",
+    [
+        (ad.linear, _linear_oracle, [(3, 2, 4, 6), (5, 6), (5,)]),
+        (ad.linear, _linear_oracle, [(7, 6), (5, 6)]),
+        (ad.layer_norm, _layer_norm_oracle, [(3, 4, 8), (8,), (8,)]),
+        (ad.softmax, _softmax_oracle, [(3, 4, 8)]),
+        (ad.gelu, _gelu_oracle, [(3, 4, 8)]),
+    ],
+    ids=["linear-4d-bias", "linear-2d", "layer_norm", "softmax", "gelu"],
+)
+def test_fused_op_matches_composite_oracle(fused, oracle, shapes):
+    rng = np.random.default_rng(4)
+    arrays = [rng.standard_normal(s) * 3.0 for s in shapes]
+    results = []
+    for op in (fused, oracle):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        weights = np.random.default_rng(5).standard_normal(out.shape)
+        ad.tsum(out * weights).backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    (value, grads), (ref_value, ref_grads) = results
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)

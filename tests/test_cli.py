@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leocsi.channel import CsiTensor
-from leocsi.cli import EXIT_CONFIG, EXIT_DATA, main
+from leocsi.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from leocsi.config import desk_scenario
 from leocsi.dataset import DatasetMeta, SampleRecord, build_dataset, load_dataset, save_dataset
 from leocsi.evaluation import BASELINES, eval_nmse
@@ -15,6 +15,12 @@ from leocsi.evaluation import BASELINES, eval_nmse
 
 def run(*argv):
     return main(list(argv))
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
 
 
 def _one_run_dir(root):
@@ -233,11 +239,14 @@ def test_exit_code_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
-def test_unknown_baseline_is_config_error(cli_dataset, tmp_path):
-    code = run("--desk", "--out", str(tmp_path / "r"),
+def test_unknown_baseline_is_config_error(cli_dataset, tmp_path, capsys):
+    out = str(tmp_path / "r")
+    code = run("--desk", "--out", out,
                "eval", "--dataset", os.path.join(cli_dataset, "test"),
                "--baseline", "oracle")
     assert code == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
 
 
 def test_set_overrides_reach_scenario(tmp_path):
@@ -251,3 +260,53 @@ def test_set_overrides_reach_scenario(tmp_path):
         open(os.path.join(_one_run_dir(out), "train", "meta.json")).read()
     )
     assert meta["scenario"]["num_devices"] == 4
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_eval_and_sweep_validate_set_overrides(cli_dataset, tmp_path, capsys, command):
+    out = str(tmp_path / "runs")
+    kind = ["--kind", "velocity"] if command == "sweep" else []
+    code = run("--desk", "--out", out, "--set", "scenario.bogus=1", command, *kind,
+               "--dataset", os.path.join(cli_dataset, "test"), "--baseline", "persistence")
+    assert code == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, split, flag",
+    [("eval", "test", "--model"), ("train-cp", "train", "--backbone")],
+)
+def test_missing_checkpoint_leaves_no_run_directory(cli_dataset, tmp_path, capsys,
+                                                    command, split, flag):
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, command, "--dataset",
+               os.path.join(cli_dataset, split), flag, "nowhere") == EXIT_DATA
+    _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train-cp"])
+def test_non_finite_training_is_numeric_failure(cli_dataset, tmp_path, capsys, command):
+    out = str(tmp_path / "runs")
+    code = run("--desk", "--out", out, "--set", "train.lr=1e300",
+               "--set", "train.max_steps=3", "--set", "train.batch=8",
+               command, "--dataset", os.path.join(cli_dataset, "train"))
+    assert code == EXIT_NUMERIC
+    line = _one_error_line(capsys, "numeric failure: ")
+    assert line.endswith("at step 1")
+    assert not os.path.exists(out)
+
+
+def test_backbone_of_another_width_is_data_error(cli_dataset, tmp_path, capsys):
+    pre = str(tmp_path / "pre")
+    train = os.path.join(cli_dataset, "train")
+    assert run("--desk", "--out", pre, "--set", "model.d_llm=32", "--set", "train.max_steps=1",
+               "pretrain", "--dataset", train) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "runs")
+    backbone = os.path.join(_one_run_dir(pre), "backbone")
+    assert run("--desk", "--out", out, "train-cp", "--dataset", train,
+               "--backbone", backbone) == EXIT_DATA
+    assert "shape mismatch" in _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)

@@ -155,3 +155,13 @@ def test_adopt_backbone_shape_check(tiny_records):
     )
     with pytest.raises(ValueError):
         build_finetune_model(other, store, seed=0)
+
+
+def test_non_finite_step_stops_training(tiny_records):
+    # A huge rate sends the weights to ~1e300 after the first step, so the
+    # second step's loss overflows; training stops there, before updating.
+    model = Model(TINY, seed=0)
+    tc = TrainConfig(batch=8, epochs=2, lr=1e300, max_steps=5)
+    with pytest.raises(FloatingPointError, match="at step 1$"):
+        finetune_cp(tiny_records, model, tc)
+    assert all(np.all(np.isfinite(p.data)) for _, p in model.params.items())
