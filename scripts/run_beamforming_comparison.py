@@ -6,12 +6,9 @@ import argparse
 import json
 import os
 
-import numpy as np
-
-from leocsi.beamform import sum_rate, zero_forcing
 from leocsi.config import desk_scenario
 from leocsi.dataset import build_dataset
-from leocsi.evaluation import mrt_outdated, wmmse_perfect
+from leocsi.evaluation import eval_sum_rate
 from leocsi.models import Model, desk_model_config
 from leocsi.training import TrainConfig, finetune_bf
 
@@ -37,21 +34,7 @@ def main():
     trace = finetune_bf(train, model, tc)
     print(f"trained {len(trace)} steps, loss {trace[0]:.4f} -> {trace[-1]:.4f}")
 
-    rates = {"model": [], "mrt_outdated": [], "zf_outdated": [], "wmmse_perfect": []}
-    for rec in test:
-        w_model = model.predict(rec.past)
-        w_mrt = mrt_outdated(rec.past.data, rec.future.data.shape, scen.total_power)
-        w_opt = wmmse_perfect(rec.future.data, scen.total_power, scen.noise_power)
-        for t in range(rec.future.num_slots):
-            h = rec.future.data[t]
-            rates["model"].append(sum_rate(h, w_model[t], scen.noise_power))
-            rates["mrt_outdated"].append(sum_rate(h, w_mrt[t], scen.noise_power))
-            rates["zf_outdated"].append(
-                sum_rate(h, zero_forcing(rec.past.data[-1], scen.total_power), scen.noise_power)
-            )
-            rates["wmmse_perfect"].append(sum_rate(h, w_opt[t], scen.noise_power))
-
-    summary = {k: float(np.mean(v)) for k, v in rates.items()}
+    summary = eval_sum_rate(model, test, scen.total_power, scen.noise_power)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sum_rates.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -36,7 +36,7 @@ def main():
     _, ad_train = build_dataset(hi, args.train_count, "train", base_cfg.t_p, base_cfg.t_f,
                                 seed=args.seed + 12)
     _, test = build_dataset(hi, 200, "test", base_cfg.t_p, base_cfg.t_f, seed=args.seed + 13)
-    test_hi = [r for r in test if r.device_speed_mps[0] >= 60 * KMH_TO_MPS - 1e-9]
+    test_hi = test[test.speeds_mps[:, 0] >= 60 * KMH_TO_MPS - 1e-9]
 
     tc_pre = TrainConfig(batch=64, epochs=100, lr=1e-3, weight_decay=0.0,
                          max_steps=args.pretrain_steps, seed=args.seed)
@@ -52,7 +52,7 @@ def main():
         # Parameter-efficient adaptation: only the head and the adapters move.
         model.params.freeze("encoder.")
         finetune_cp(ad_train, model, tc_ad)
-        results[f"rank_{rank}"] = eval_nmse(lambda p, _tf: model.predict(p), test_hi)
+        results[f"rank_{rank}"] = eval_nmse(lambda p, _tf: model.predict_batch(p), test_hi)
         print(f"rank {rank}: NMSE {results[f'rank_{rank}']:.3f} dB on 60-100 km/h")
 
     os.makedirs(args.out, exist_ok=True)

@@ -34,7 +34,7 @@ def main():
     trace = finetune_cp(train, model, tc)
     print(f"trained {len(trace)} steps, loss {trace[0]:.4f} -> {trace[-1]:.4f}")
 
-    predictors = {"model": lambda past, _tf: model.predict(past), **BASELINES}
+    predictors = {"model": lambda past, _tf: model.predict_batch(past), **BASELINES}
     result = velocity_sweep(predictors, test, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     result.write_csv(os.path.join(args.out, "sweep.csv"))

@@ -31,6 +31,7 @@ from .dataset import (
 from .evaluation import (
     BASELINES,
     eval_nmse,
+    eval_sum_rate,
     snr_sweep,
     velocity_sweep,
 )
@@ -120,6 +121,14 @@ def _check_split(meta, model_cfg: ModelConfig):
         )
 
 
+def _load_checkpoint(load, path: str):
+    """``load(path)``, with a malformed checkpoint reported as a data error."""
+    try:
+        return load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"cannot load checkpoint {path}: {exc!r}") from exc
+
+
 def _hash_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -152,14 +161,12 @@ def make_run_dir(out_root: str, seed: int) -> str:
     return path
 
 
-def write_manifest(run_dir: str, doc: dict, inputs: list[str], extra: dict | None = None):
+def write_manifest(run_dir: str, doc: dict, inputs: list[str]):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "resolved_config": doc,
         "input_hashes": _hash_inputs(inputs),
     }
-    if extra:
-        manifest.update(extra)
     with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
 
@@ -168,13 +175,16 @@ def write_manifest(run_dir: str, doc: dict, inputs: list[str], extra: dict | Non
 
 def cmd_generate(args, doc):
     scenario, model_cfg, _ = resolve(doc, args.desk)
+    if args.train_count < 1 or args.test_count < 1:
+        raise ConfigError("--train-count and --test-count must be >= 1")
+    splits = {
+        split: build_dataset(scenario, count, split=split,
+                             t_p=model_cfg.t_p, t_f=model_cfg.t_f, seed=args.seed)
+        for split, count in (("train", args.train_count), ("test", args.test_count))
+    }
     run_dir = make_run_dir(args.out, args.seed)
-    for split, count in (("train", args.train_count), ("test", args.test_count)):
-        meta, records = build_dataset(
-            scenario, count, split=split,
-            t_p=model_cfg.t_p, t_f=model_cfg.t_f, seed=args.seed,
-        )
-        save_dataset(os.path.join(run_dir, split), meta, records)
+    for split, (meta, data) in splits.items():
+        save_dataset(os.path.join(run_dir, split), meta, data)
     write_manifest(run_dir, doc, [args.config] if args.config else [])
     print(f"wrote {args.train_count}+{args.test_count} samples under {run_dir}")
     return 0
@@ -182,9 +192,9 @@ def cmd_generate(args, doc):
 
 def cmd_pretrain(args, doc):
     _, model_cfg, train_cfg = resolve(doc, args.desk)
-    meta, records = load_dataset(args.dataset)
+    meta, data = load_dataset(args.dataset)
     _check_split(meta, model_cfg)
-    store, trace = pretrain_backbone(records, model_cfg, train_cfg, seed=args.seed)
+    store, trace = pretrain_backbone(data, model_cfg, train_cfg, seed=args.seed)
     run_dir = make_run_dir(args.out, args.seed)
     ad.save_params(os.path.join(run_dir, "backbone"), store)
     _write_trace(run_dir, trace)
@@ -203,10 +213,10 @@ def _write_trace(run_dir: str, trace: list[float]):
 def _cmd_train(args, doc, head: str):
     scenario, model_cfg, train_cfg = resolve(doc, args.desk)
     model_cfg = dataclasses.replace(model_cfg, head=head)
-    meta, records = load_dataset(args.dataset)
+    meta, data = load_dataset(args.dataset)
     _check_split(meta, model_cfg)
     if args.backbone:
-        pretrained = ad.load_params(args.backbone)
+        pretrained = _load_checkpoint(ad.load_params, args.backbone)
         try:
             model = build_finetune_model(model_cfg, pretrained, seed=args.seed)
         except ValueError as exc:
@@ -215,9 +225,9 @@ def _cmd_train(args, doc, head: str):
         model = Model(model_cfg, seed=args.seed)
     if head == "bf":
         train_cfg = dataclasses.replace(train_cfg, noise_power=scenario.noise_power)
-        trace = finetune_bf(records, model, train_cfg)
+        trace = finetune_bf(data, model, train_cfg)
     else:
-        trace = finetune_cp(records, model, train_cfg)
+        trace = finetune_cp(data, model, train_cfg)
     run_dir = make_run_dir(args.out, args.seed)
     model.save(os.path.join(run_dir, "model"))
     _write_trace(run_dir, trace)
@@ -232,7 +242,7 @@ def _baseline(name: str):
     return BASELINES[name]
 
 
-def _clean_test_records(meta, records):
+def _clean_test_split(meta, data):
     """Rebuild a test split without estimation noise from its ``meta``.
 
     The rebuilt futures must equal the stored ones to float32 rounding, which
@@ -244,50 +254,62 @@ def _clean_test_records(meta, records):
         meta.scenario, meta.m, split="test", t_p=meta.t_p, t_f=meta.t_f,
         seed=meta.seed, test_snr_db=float("inf"),
     )
-    for i, (stored, rebuilt) in enumerate(zip(records, clean)):
-        if not np.allclose(stored.future.data, rebuilt.future.data, rtol=2.0**-22, atol=1e-12):
-            raise DatasetError(f"test sample {i} does not match a clean rebuild from meta.json")
+    if not np.allclose(data.future, clean.future, rtol=2.0**-22, atol=1e-12):
+        raise DatasetError("test split does not match a clean rebuild from meta.json")
     return clean
 
 
-def cmd_eval(args, doc):
+def _eval_inputs(args, doc):
+    """Checked config and baselines, the split, and ``--model`` if given."""
     resolve(doc, args.desk)
     baselines = {name: _baseline(name) for name in args.baseline}
-    model = Model.load(args.model) if args.model else None
-    _, records = load_dataset(args.dataset)
-    results = {}
-    t_f = records[0].future.num_slots
+    meta, data = load_dataset(args.dataset)
+    model = _load_checkpoint(Model.load, args.model) if args.model else None
     if model is not None:
-        results["model"] = eval_nmse(lambda past, _tf: model.predict(past), records)
+        _check_split(meta, model.cfg)
+    return baselines, meta, data, model
+
+
+def cmd_eval(args, doc):
+    baselines, meta, data, model = _eval_inputs(args, doc)
+    nmse, out = {}, {"t_f": data.t_f}
+    if model is not None and model.cfg.head == "bf":
+        scen = meta.scenario
+        if scen.num_devices > scen.num_antennas:
+            raise ConfigError("the zero-forcing reference needs num_devices <= num_antennas")
+        out["sum_rate"] = eval_sum_rate(model, data, scen.total_power, scen.noise_power)
+    elif model is not None:
+        nmse["model"] = eval_nmse(lambda past, _tf: model.predict_batch(past), data)
     for name, baseline in baselines.items():
-        results[name] = eval_nmse(baseline, records)
+        nmse[name] = eval_nmse(baseline, data)
     run_dir = make_run_dir(args.out, args.seed)
     with open(os.path.join(run_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump({"nmse_db": results, "t_f": t_f}, fh, indent=2)
+        json.dump({"nmse_db": nmse, **out}, fh, indent=2)
     write_manifest(run_dir, doc, [args.dataset])
-    for label, value in results.items():
+    for label, value in nmse.items():
         shown = "floor(-inf)" if value == float("-inf") else f"{value:.3f}"
         print(f"{label}: NMSE {shown} dB")
+    for label, value in out.get("sum_rate", {}).items():
+        print(f"{label}: sum rate {value:.4f} bits/s/Hz")
     return 0
 
 
 def cmd_sweep(args, doc):
-    resolve(doc, args.desk)
-    meta, records = load_dataset(args.dataset)
-    predictors = {}
-    if args.model:
-        model = Model.load(args.model)
-        predictors["model"] = lambda past, _tf: model.predict(past)
-    for name in args.baseline:
-        predictors[name] = _baseline(name)
+    baselines, meta, data, model = _eval_inputs(args, doc)
+    predictors = dict(baselines)
+    if model is not None:
+        if model.cfg.head != "csi":
+            raise ConfigError(f"sweep scores CSI predictions; {args.model} has a "
+                              f"{model.cfg.head!r} head")
+        predictors = {"model": lambda past, _tf: model.predict_batch(past), **baselines}
     if not predictors:
         raise ConfigError("sweep needs at least one --model or --baseline")
     kind = args.kind
     if kind == "velocity":
-        result = velocity_sweep(predictors, records, seed=args.seed)
+        result = velocity_sweep(predictors, data, seed=args.seed)
     elif kind == "snr":
         snrs = doc["sweep"].get("snrs_db", [0, 5, 10, 15, 20, 25, 30])
-        clean = _clean_test_records(meta, records)
+        clean = _clean_test_split(meta, data)
         result = snr_sweep(predictors, clean, snrs, seed=args.seed)
     else:
         raise ConfigError(f"unsupported sweep kind {kind!r}")

@@ -21,6 +21,15 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def check_finite(cfg) -> None:
+    """Reject NaN/Inf in any float field of a config dataclass, tuples included."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform planar array: ``n_x * n_y`` elements with common spacing."""
@@ -86,6 +95,7 @@ class ScenarioConfig:
     sat_doppler_residual_hz: float = 0.0
 
     def __post_init__(self):
+        check_finite(self)
         positive = (
             "carrier_hz", "altitude_m", "num_paths", "num_devices",
             "slot_interval_s", "max_delay_spread_s", "noise_power",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,9 +53,51 @@ class SampleRecord:
     noise_snr_db: float   # +inf means no noise was applied
     future_noised: bool
 
-    def __post_init__(self):
-        if self.past.num_slots < 1 or self.future.num_slots < 1:
-            raise ValueError("past and future must both be non-empty")
+
+@dataclass(frozen=True)
+class Dataset:
+    """One split as whole arrays: ``csi`` is the ``data.bin`` layout rounded
+    through float32, ``past``/``future`` are views of it, and the per-sample
+    arrays mirror ``meta.json``.  ``data[i]`` (and iteration) gives
+    ``SampleRecord`` views; a slice, mask or index array gives a ``Dataset``.
+    """
+
+    csi: np.ndarray            # [M, t_p + t_f, K, N] complex
+    t_p: int
+    slot_interval_s: float
+    speeds_mps: np.ndarray     # [M, K]
+    snr_db: np.ndarray         # [M], +inf means no noise was applied
+    future_noised: np.ndarray  # [M] bool
+
+    @property
+    def t_f(self) -> int:
+        return self.csi.shape[1] - self.t_p
+
+    @property
+    def past(self) -> np.ndarray:
+        return self.csi[:, : self.t_p]
+
+    @property
+    def future(self) -> np.ndarray:
+        return self.csi[:, self.t_p :]
+
+    def __len__(self) -> int:
+        return self.csi.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SampleRecord(
+                past=CsiTensor(self.csi[index, : self.t_p], self.slot_interval_s),
+                future=CsiTensor(self.csi[index, self.t_p :], self.slot_interval_s,
+                                 origin_slot=self.t_p),
+                device_speed_mps=self.speeds_mps[index],
+                noise_snr_db=float(self.snr_db[index]),
+                future_noised=bool(self.future_noised[index]),
+            )
+        return replace(
+            self, csi=self.csi[index], speeds_mps=self.speeds_mps[index],
+            snr_db=self.snr_db[index], future_noised=self.future_noised[index],
+        )
 
 
 @dataclass(frozen=True)
@@ -92,15 +134,6 @@ def add_estimation_noise(csi: CsiTensor, snr_db: float, rng_seed: int) -> CsiTen
     )
 
 
-def _quantize(csi: CsiTensor) -> CsiTensor:
-    # Round through the on-disk float32 precision so save/load round trips
-    # are bit-exact against the in-memory dataset.
-    data = csi.data.real.astype(np.float32).astype(np.float64) + 1j * csi.data.imag.astype(
-        np.float32
-    ).astype(np.float64)
-    return CsiTensor(data, csi.slot_interval_s, origin_slot=csi.origin_slot)
-
-
 def _sample_seed(seed: int, index: int, salt: int) -> int:
     return int(np.random.SeedSequence([seed, index, salt]).generate_state(1)[0])
 
@@ -113,22 +146,25 @@ def build_dataset(
     t_f: int = 4,
     seed: int = 0,
     test_snr_db: float = DEFAULT_TEST_SNR_DB,
-) -> tuple[DatasetMeta, list[SampleRecord]]:
+) -> tuple[DatasetMeta, Dataset]:
     """Build a training or test dataset of (past, future) CSI pairs.
 
     Training: per-sample device speed uniform over the scenario's
     ``device_speed_range_mps`` (10..100 km/h by default) and SNR
     uniform in 5..20 dB applied to all t_p+t_f slots.  Test: the 10
     discrete speeds, count/10 samples each, noise only on past slots at
-    ``test_snr_db``.
+    ``test_snr_db``.  Sample i depends only on (seed, i).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
 
-    total = t_p + t_f
-    records: list[SampleRecord] = []
+    k, dt = config.num_devices, config.slot_interval_s
+    future_noised = split == "train"
+    csi = np.empty((count, t_p + t_f, k, config.num_antennas), dtype=complex)
+    speeds = np.empty((count, k))
+    snrs = np.empty(count)
     for i in range(count):
         rng = np.random.default_rng(_sample_seed(seed, i, 0))
         if split == "train":
@@ -137,26 +173,20 @@ def build_dataset(
         else:
             speed = TEST_SPEEDS_KMH[i % len(TEST_SPEEDS_KMH)] * KMH_TO_MPS
             snr_db = test_snr_db
-        speeds = np.full(config.num_devices, speed)
+        speeds[i], snrs[i] = speed, snr_db
 
-        episode = generate_episode(config, speeds, total, _sample_seed(seed, i, 1))
-        past = CsiTensor(episode.data[:t_p], config.slot_interval_s, origin_slot=0)
-        future = CsiTensor(episode.data[t_p:], config.slot_interval_s, origin_slot=t_p)
-
+        episode = generate_episode(config, speeds[i], t_p + t_f, _sample_seed(seed, i, 1))
         noise_seed = _sample_seed(seed, i, 2)
-        past = add_estimation_noise(past, snr_db, noise_seed)
-        future_noised = split == "train"
+        past = add_estimation_noise(CsiTensor(episode.data[:t_p], dt), snr_db, noise_seed)
+        future = CsiTensor(episode.data[t_p:], dt, origin_slot=t_p)
         if future_noised:
             future = add_estimation_noise(future, snr_db, noise_seed + 1)
-        records.append(
-            SampleRecord(
-                past=_quantize(past),
-                future=_quantize(future),
-                device_speed_mps=speeds,
-                noise_snr_db=snr_db,
-                future_noised=future_noised,
-            )
-        )
+        sample = csi[i]
+        sample[:t_p], sample[t_p:] = past.data, future.data
+        # Round through the on-disk float32 precision so save/load round
+        # trips are bit-exact against the in-memory dataset.
+        for plane in (sample.real, sample.imag):
+            plane[...] = plane.astype(np.float32)
 
     snr_policy = (
         "uniform[5,20]dB past+future" if split == "train" else f"fixed {test_snr_db} dB past-only"
@@ -165,11 +195,8 @@ def build_dataset(
         scenario=config, m=count, t_p=t_p, t_f=t_f, split=split, seed=seed,
         snr_policy=snr_policy,
     )
-    return meta, records
-
-
-def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return asdict(cfg)
+    data = Dataset(csi, t_p, dt, speeds, snrs, np.full(count, future_noised))
+    return meta, data
 
 
 def _scenario_from_dict(d: dict) -> ScenarioConfig:
@@ -180,40 +207,33 @@ def _scenario_from_dict(d: dict) -> ScenarioConfig:
     return ScenarioConfig(**d)
 
 
-def save_dataset(path: str, meta: DatasetMeta, records: list[SampleRecord]) -> None:
+def save_dataset(path: str, meta: DatasetMeta, data: Dataset) -> None:
     """Persist a dataset as ``meta.json`` + ``data.bin`` (float32 LE)."""
     os.makedirs(path, exist_ok=True)
-    k = meta.scenario.num_devices
-    n = meta.scenario.num_antennas
-    payload = np.empty(
-        (len(records), meta.t_p + meta.t_f, 2, k, n), dtype="<f4"
-    )
-    for i, rec in enumerate(records):
-        full = np.concatenate([rec.past.data, rec.future.data], axis=0)
-        payload[i, :, 0] = full.real.astype("<f4")
-        payload[i, :, 1] = full.imag.astype("<f4")
+    m, total, k, n = data.csi.shape
+    payload = np.empty((m, total, 2, k, n), dtype="<f4")
+    payload[:, :, 0] = data.csi.real
+    payload[:, :, 1] = data.csi.imag
 
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "scenario": _scenario_to_dict(meta.scenario),
+        "scenario": asdict(meta.scenario),
         "m": meta.m,
         "t_p": meta.t_p,
         "t_f": meta.t_f,
         "split": meta.split,
         "seed": meta.seed,
         "snr_policy": meta.snr_policy,
-        "sample_speeds_mps": [rec.device_speed_mps.tolist() for rec in records],
-        "sample_snrs_db": [
-            "inf" if np.isinf(rec.noise_snr_db) else rec.noise_snr_db for rec in records
-        ],
-        "sample_future_noised": [rec.future_noised for rec in records],
+        "sample_speeds_mps": data.speeds_mps.tolist(),
+        "sample_snrs_db": ["inf" if np.isinf(s) else s for s in data.snr_db.tolist()],
+        "sample_future_noised": data.future_noised.tolist(),
     }
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     payload.tofile(os.path.join(path, "data.bin"))
 
 
-def load_dataset(path: str) -> tuple[DatasetMeta, list[SampleRecord]]:
+def load_dataset(path: str) -> tuple[DatasetMeta, Dataset]:
     """Load a dataset directory; raises a distinct error per failure mode."""
     meta_path = os.path.join(path, "meta.json")
     try:
@@ -226,9 +246,9 @@ def load_dataset(path: str) -> tuple[DatasetMeta, list[SampleRecord]]:
         m, t_p, t_f = doc["m"], doc["t_p"], doc["t_f"]
         split, seed = doc["split"], doc["seed"]
         snr_policy = doc["snr_policy"]
-        speeds = doc["sample_speeds_mps"]
-        snrs = [float(s) for s in doc["sample_snrs_db"]]
-        future_noised = doc["sample_future_noised"]
+        speeds = np.asarray(doc["sample_speeds_mps"], dtype=float)
+        snrs = np.asarray([float(s) for s in doc["sample_snrs_db"]])
+        future_noised = np.asarray(doc["sample_future_noised"], dtype=bool)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptHeaderError(f"missing/invalid key in meta.json: {exc}") from exc
 
@@ -244,24 +264,17 @@ def load_dataset(path: str) -> tuple[DatasetMeta, list[SampleRecord]]:
         raise DimensionMismatchError(
             f"data.bin holds {raw.size} values, meta implies {expected}"
         )
-    if len(speeds) != m or len(snrs) != m or len(future_noised) != m:
-        raise DimensionMismatchError("per-sample metadata length != m")
+    if (speeds.shape, snrs.shape, future_noised.shape) != ((m, k), (m,), (m,)):
+        raise DimensionMismatchError("per-sample metadata does not fit (m, K)")
+    if not np.all(np.isfinite(raw)):
+        raise DatasetError("data.bin holds NaN/Inf")
 
     payload = raw.reshape(m, t_p + t_f, 2, k, n)
-    records: list[SampleRecord] = []
-    for i in range(m):
-        full = payload[i, :, 0].astype(np.float64) + 1j * payload[i, :, 1].astype(np.float64)
-        records.append(
-            SampleRecord(
-                past=CsiTensor(full[:t_p], scenario.slot_interval_s, origin_slot=0),
-                future=CsiTensor(full[t_p:], scenario.slot_interval_s, origin_slot=t_p),
-                device_speed_mps=np.asarray(speeds[i], dtype=float),
-                noise_snr_db=snrs[i],
-                future_noised=bool(future_noised[i]),
-            )
-        )
+    csi = np.empty((m, t_p + t_f, k, n), dtype=complex)
+    csi.real[...] = payload[:, :, 0]
+    csi.imag[...] = payload[:, :, 1]
     meta = DatasetMeta(
         scenario=scenario, m=m, t_p=t_p, t_f=t_f, split=split, seed=seed,
         snr_policy=snr_policy,
     )
-    return meta, records
+    return meta, Dataset(csi, t_p, scenario.slot_interval_s, speeds, snrs, future_noised)

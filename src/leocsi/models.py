@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
 from .channel import CsiTensor
+from .config import check_finite
 
 SIGMA_FLOOR = 1e-6
 PE_PERIOD = 10_000  # absolute slot indices wrap at this period
@@ -42,8 +43,11 @@ class ModelConfig:
     head: str = "csi"  # "csi" or "bf"
 
     def __post_init__(self):
+        check_finite(self)
         if self.d_enc <= 0 or self.d_llm <= 0:
             raise ValueError("model widths must be positive")
+        if self.heads < 1 or self.d_enc % self.heads or self.d_llm % self.heads:
+            raise ValueError("heads must be >= 1 and divide both d_enc and d_llm")
         if self.num_devices % self.patch or self.num_antennas % self.patch:
             raise ValueError("patch must divide both CSI image dimensions")
         if self.head not in ("csi", "bf"):

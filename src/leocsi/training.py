@@ -13,7 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, ParamStore, Tensor
-from .dataset import SampleRecord
+from .config import check_finite
+from .dataset import Dataset
 from .models import Model, ModelConfig, preprocess
 
 
@@ -31,6 +32,7 @@ class TrainConfig:
     noise_power: float = 0.1  # used by the beamforming loss
 
     def __post_init__(self):
+        check_finite(self)
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
         if self.freeze not in ("backbone", "none"):
@@ -139,12 +141,6 @@ def expected_trainable_count(cfg: ModelConfig, store: ParamStore) -> int:
 
 # -- training loops -----------------------------------------------------
 
-def _records_to_arrays(records: list[SampleRecord]):
-    past = np.stack([r.past.data for r in records])
-    future = np.stack([r.future.data for r in records])
-    return past, future
-
-
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float | None):
     """Global gradient norm, and ``grads`` scaled down to ``max_norm`` if above it."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
@@ -156,12 +152,12 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float | None):
 
 def _run_training(
     model: Model,
-    records: list[SampleRecord],
+    data: Dataset,
     tc: TrainConfig,
     loss_kind: str,
 ) -> list[float]:
-    past, future = _records_to_arrays(records)
-    m = len(records)
+    past, future = data.past, data.future
+    m = len(data)
     if past.shape[1] != model.cfg.t_p or future.shape[1] != model.cfg.t_f:
         raise ValueError("dataset slot counts do not match the model config")
     if past.shape[2:] != (model.cfg.num_devices, model.cfg.num_antennas):
@@ -200,26 +196,26 @@ def _run_training(
     return trace
 
 
-def finetune_cp(records: list[SampleRecord], model: Model, tc: TrainConfig) -> list[float]:
+def finetune_cp(data: Dataset, model: Model, tc: TrainConfig) -> list[float]:
     """Fine-tune a CSI-head model; returns the per-step loss trace."""
     if model.cfg.head != "csi":
         raise ValueError("finetune_cp requires a CSI-head model")
     if tc.freeze == "backbone":
         model.params.freeze("backbone.")
-    return _run_training(model, records, tc, "cp")
+    return _run_training(model, data, tc, "cp")
 
 
-def finetune_bf(records: list[SampleRecord], model: Model, tc: TrainConfig) -> list[float]:
+def finetune_bf(data: Dataset, model: Model, tc: TrainConfig) -> list[float]:
     """Fine-tune a beamforming-head model; returns the per-step loss trace."""
     if model.cfg.head != "bf":
         raise ValueError("finetune_bf requires a beamforming-head model")
     if tc.freeze == "backbone":
         model.params.freeze("backbone.")
-    return _run_training(model, records, tc, "bf")
+    return _run_training(model, data, tc, "bf")
 
 
 def pretrain_backbone(
-    records: list[SampleRecord],
+    data: Dataset,
     cfg: ModelConfig,
     tc: TrainConfig,
     seed: int = 0,
@@ -233,7 +229,7 @@ def pretrain_backbone(
     pre_cfg = replace(cfg, head="csi", lora_rank=0)
     model = Model(pre_cfg, seed=seed)
     tc = replace(tc, freeze="none")
-    trace = _run_training(model, records, tc, "cp")
+    trace = _run_training(model, data, tc, "cp")
     model.params.freeze("backbone.")
     return model.params, trace
 

@@ -95,6 +95,6 @@ def bf_learn(learn_data, desk_scen):
 @pytest.fixture(scope="session")
 def thirty_kmh(learn_data):
     _, test = learn_data
-    subset = [r for r in test if abs(r.device_speed_mps[0] - 30.0 * KMH_TO_MPS) < 1e-9]
-    assert subset, "test split must contain 30 km/h samples"
+    subset = test[np.abs(test.speeds_mps[:, 0] - 30.0 * KMH_TO_MPS) < 1e-9]
+    assert len(subset), "test split must contain 30 km/h samples"
     return subset

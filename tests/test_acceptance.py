@@ -245,7 +245,7 @@ class TestLearningSuite:
     def test_cpllm_beats_persistence_at_30kmh(self, cp_learn, thirty_kmh):
         model, trace = cp_learn
         assert len(trace) <= 2000
-        model_nmse = eval_nmse(lambda p, _tf: model.predict(p), thirty_kmh)
+        model_nmse = eval_nmse(lambda p, _tf: model.predict_batch(p), thirty_kmh)
         pers_nmse = eval_nmse(lambda p, _tf: persistence_baseline(p, _tf), thirty_kmh)
         report(model_nmse < pers_nmse, "cpllm vs persistence @30km/h",
                f"model {model_nmse:.3f} dB < persistence {pers_nmse:.3f} dB "
@@ -291,7 +291,7 @@ def lora_study():
     _, pre_train = build_dataset(lo, 4096, "train", base.t_p, base.t_f, seed=11)
     _, ad_train = build_dataset(hi, 4096, "train", base.t_p, base.t_f, seed=12)
     _, test = build_dataset(hi, 200, "test", base.t_p, base.t_f, seed=13)
-    test_hi = [r for r in test if r.device_speed_mps[0] >= 60 * KMH_TO_MPS - 1e-9]
+    test_hi = test[test.speeds_mps[:, 0] >= 60 * KMH_TO_MPS - 1e-9]
 
     tc_pre = TrainConfig(batch=64, epochs=100, lr=1e-3, weight_decay=0.0,
                          max_steps=1000, seed=0)
@@ -310,7 +310,7 @@ def lora_study():
         finetune_cp(ad_train, model, tc_ad)
         out[rank] = {
             "model": model,
-            "nmse": eval_nmse(lambda p, _tf: model.predict(p), test_hi),
+            "nmse": eval_nmse(lambda p, _tf: model.predict_batch(p), test_hi),
             "checksum_invariant": backbone_checksum(model.params) == checksum_before,
         }
     return out

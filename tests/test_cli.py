@@ -6,11 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
-from leocsi.channel import CsiTensor
 from leocsi.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from leocsi.config import desk_scenario
-from leocsi.dataset import DatasetMeta, SampleRecord, build_dataset, load_dataset, save_dataset
+from leocsi.dataset import Dataset, DatasetMeta, build_dataset, load_dataset, save_dataset
 from leocsi.evaluation import BASELINES, eval_nmse
+from leocsi.models import Model, desk_model_config
 
 
 def run(*argv):
@@ -172,19 +172,15 @@ def test_eval_static_channel_floor(tmp_path, capsys):
     h = (np.random.default_rng(0).standard_normal((1, scen.num_devices, scen.num_antennas))
          + 1j * np.random.default_rng(1).standard_normal((1, scen.num_devices, scen.num_antennas)))
     data = np.repeat(h, 10, axis=0)
-    records = [
-        SampleRecord(
-            past=CsiTensor(data[:8].astype(np.complex128), scen.slot_interval_s),
-            future=CsiTensor(data[8:].astype(np.complex128), scen.slot_interval_s, origin_slot=8),
-            device_speed_mps=np.zeros(scen.num_devices),
-            noise_snr_db=float("inf"),
-            future_noised=False,
-        )
-    ]
+    split = Dataset(
+        csi=data[None].astype(np.complex128), t_p=8, slot_interval_s=scen.slot_interval_s,
+        speeds_mps=np.zeros((1, scen.num_devices)), snr_db=np.array([float("inf")]),
+        future_noised=np.array([False]),
+    )
     meta = DatasetMeta(scenario=scen, m=1, t_p=8, t_f=2, split="test", seed=0,
                        snr_policy="none")
     ds = str(tmp_path / "static")
-    save_dataset(ds, meta, records)
+    save_dataset(ds, meta, split)
     out = str(tmp_path / "runs")
     code = run("--desk", "--out", out, "eval", "--dataset", ds, "--baseline", "persistence")
     assert code == 0
@@ -199,15 +195,20 @@ def test_grad_check_subcommand(tmp_path, capsys):
 def test_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"num_devicez": 2}}))
+    generate = ["generate", "--train-count", "1", "--test-count", "1"]
     cases = [
-        ["--config", str(bad)],
-        ["--desk", "--set", "scenario.bogus=1"],  # unknown key on the desk preset
-        ["--desk", "--set", "model.patch=3"],  # invalid value on the desk preset
-        ["--set", "model.activation=gelu"],  # not a model option
+        ["--config", str(bad), *generate],
+        ["--desk", "--set", "scenario.bogus=1", *generate],  # unknown key on the desk preset
+        ["--desk", "--set", "model.patch=3", *generate],  # invalid value on the desk preset
+        ["--set", "model.activation=gelu", *generate],  # not a model option
+        ["--desk", "--set", "scenario.rician_db=1e400", *generate],  # overflows to inf
+        ["--desk", "--set", "train.lr=NaN", *generate],
+        ["--desk", "generate", "--train-count", "0", "--test-count", "1"],
+        ["--desk", "--set", "model.heads=3", "train-cp", "--dataset", "unused"],
     ]
     for i, flags in enumerate(cases):
         out = str(tmp_path / f"r{i}")
-        code = run(*flags, "--out", out, "generate", "--train-count", "1", "--test-count", "1")
+        code = run("--out", out, *flags)
         assert code == EXIT_CONFIG, flags
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), flags
@@ -309,4 +310,69 @@ def test_backbone_of_another_width_is_data_error(cli_dataset, tmp_path, capsys):
     assert run("--desk", "--out", out, "train-cp", "--dataset", train,
                "--backbone", backbone) == EXIT_DATA
     assert "shape mismatch" in _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def bf_model_dir(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("bf") / "model")
+    Model(desk_model_config(head="bf"), seed=0).save(path)
+    return path
+
+
+def test_eval_of_a_beamforming_model_reports_sum_rates(cli_dataset, bf_model_dir, tmp_path):
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "eval", "--dataset", os.path.join(cli_dataset, "test"),
+               "--model", bf_model_dir, "--baseline", "persistence") == 0
+    doc = json.loads(open(os.path.join(_one_run_dir(out), "eval.json")).read())
+    assert set(doc["nmse_db"]) == {"persistence"}
+    assert set(doc["sum_rate"]) == {"model", "mrt_outdated", "zf_outdated", "wmmse_perfect"}
+    rates = doc["sum_rate"]
+    assert rates["mrt_outdated"] <= rates["wmmse_perfect"] and rates["model"] > 0
+
+
+def test_sweep_of_a_beamforming_model_is_config_error(cli_dataset, bf_model_dir, tmp_path,
+                                                     capsys):
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "sweep", "--kind", "velocity", "--dataset",
+               os.path.join(cli_dataset, "test"), "--model", bf_model_dir) == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, flag, damaged", [
+    ("train-cp", "--backbone", "params.json"),
+    ("eval", "--model", "model.json"),
+    ("eval", "--model", "params.bin"),
+])
+def test_malformed_checkpoint_is_data_error(cli_dataset, bf_model_dir, tmp_path, capsys,
+                                            command, flag, damaged):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(bf_model_dir, ckpt)
+    target = ckpt / damaged
+    if damaged == "params.bin":
+        target.write_bytes(target.read_bytes()[:100])
+    else:
+        target.write_text("{not json")
+    split = "train" if command == "train-cp" else "test"
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, command, "--dataset", os.path.join(cli_dataset, split),
+               flag, str(ckpt)) == EXIT_DATA
+    _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)
+
+
+def test_sum_rate_eval_needs_no_more_devices_than_antennas(tmp_path, capsys):
+    # Zero forcing, one of the sum-rate references, needs K <= N; desk N = 4.
+    wide = ["--desk", "--set", "scenario.num_devices=6", "--set", "model.num_devices=6"]
+    assert run(*wide, "--out", str(tmp_path / "gen"), "generate",
+               "--train-count", "1", "--test-count", "2") == 0
+    capsys.readouterr()
+    model = str(tmp_path / "bf6")
+    Model(desk_model_config(head="bf", num_devices=6), seed=0).save(model)
+    out = str(tmp_path / "runs")
+    test_split = os.path.join(_one_run_dir(str(tmp_path / "gen")), "test")
+    assert run(*wide, "--out", out, "eval", "--dataset", test_split,
+               "--model", model) == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
     assert not os.path.exists(out)

@@ -1,6 +1,7 @@
 """Dataset construction, noise model, and on-disk round trips."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from leocsi.config import KMH_TO_MPS, desk_scenario
 from leocsi.channel import CsiTensor
 from leocsi.dataset import (
     CorruptHeaderError,
+    DatasetError,
     DimensionMismatchError,
     ShortReadError,
     TEST_SPEEDS_KMH,
@@ -144,3 +146,44 @@ def test_data_bin_layout(built):
     expect = records[0].past.data[0]
     assert np.allclose(first[0, 0], expect.real.astype(np.float32), atol=0)
     assert np.allclose(first[0, 1], expect.imag.astype(np.float32), atol=0)
+
+
+def test_dataset_views_index_and_mask(built):
+    meta, data, _ = built
+    assert (len(data), data.t_p, data.t_f) == (meta.m, meta.t_p, meta.t_f)
+    assert np.shares_memory(data.past, data.csi) and np.shares_memory(data.future, data.csi)
+    rec = data[3]
+    assert np.array_equal(rec.past.data, data.csi[3, : meta.t_p])
+    assert np.array_equal(rec.future.data, data.csi[3, meta.t_p :])
+    assert (rec.past.origin_slot, rec.future.origin_slot) == (0, meta.t_p)
+    assert np.array_equal(rec.device_speed_mps, data.speeds_mps[3])
+    assert (rec.noise_snr_db, rec.future_noised) == (data.snr_db[3], data.future_noised[3])
+    assert [r.noise_snr_db for r in data] == data.snr_db.tolist()
+
+    mask = data.speeds_mps[:, 0] > 50 * KMH_TO_MPS
+    sub = data[mask]
+    assert len(sub) == 10 and sub.t_p == data.t_p
+    for got, full in ((sub.csi, data.csi), (sub.speeds_mps, data.speeds_mps),
+                      (sub.snr_db, data.snr_db), (sub.future_noised, data.future_noised)):
+        assert np.array_equal(got, full[mask])
+    first = int(np.flatnonzero(mask)[0])
+    assert np.array_equal(sub[0].future.data, data[first].future.data)
+
+
+@pytest.mark.parametrize("case", ["nan in data.bin", "speeds of another K", "ragged speeds"])
+def test_bad_split_on_disk_is_a_data_error(built, tmp_path, case):
+    _, _, path = built
+    bad = tmp_path / "bad"
+    shutil.copytree(path, bad)
+    meta = json.loads((bad / "meta.json").read_text())
+    if case == "nan in data.bin":
+        raw = np.fromfile(bad / "data.bin", dtype="<f4")
+        raw[5] = np.nan
+        raw.tofile(bad / "data.bin")
+    elif case == "speeds of another K":
+        meta["sample_speeds_mps"] = [s + s[:1] for s in meta["sample_speeds_mps"]]
+    else:
+        meta["sample_speeds_mps"][0] = meta["sample_speeds_mps"][0][:1]
+    (bad / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DatasetError):
+        load_dataset(str(bad))

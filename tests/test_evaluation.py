@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leocsi.beamform import sum_rate, zero_forcing
 from leocsi.channel import CsiTensor
 from leocsi.config import desk_scenario
 from leocsi.dataset import SampleRecord, build_dataset
 from leocsi.evaluation import (
     BASELINES,
+    EVAL_CHUNK,
     ExperimentResult,
     ar_baseline,
     eval_nmse,
+    eval_sum_rate,
     mrt_outdated,
     nmse_linear,
     nmse_metric,
@@ -21,6 +24,7 @@ from leocsi.evaluation import (
     velocity_sweep,
     wmmse_perfect,
 )
+from leocsi.models import Model, desk_model_config
 
 
 def test_nmse_linear_known_value():
@@ -73,7 +77,7 @@ def test_baseline_registry():
     assert set(BASELINES) == {"persistence", "ar1", "ar2"}
     past = np.random.default_rng(0).standard_normal((6, 2, 2)) + 0j
     for fn in BASELINES.values():
-        assert fn(past, 3).shape == (3, 2, 2)
+        assert fn(past[None], 3).shape == (1, 3, 2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +182,35 @@ def test_ar_singular_gram_warns_once_and_stays_finite():
     assert np.all(np.isfinite(pred))
     assert np.allclose(pred[:, 0, 0], 1.5 - 0.5j, atol=1e-5)
     assert np.allclose(pred[:, 0, 1], past[8:, 0, 1], atol=1e-8)
+
+
+def test_batched_evaluation_matches_per_record_loops():
+    # More samples than one chunk, so the chunk boundary is crossed.
+    scen = desk_scenario()
+    cfg = desk_model_config()
+    _, data = build_dataset(scen, EVAL_CHUNK + 6, "test", cfg.t_p, cfg.t_f, seed=6)
+
+    cp = Model(cfg, seed=3)
+    per_record = nmse_metric([cp.predict(rec.past) for rec in data],
+                             [rec.future.data for rec in data])
+    batched = eval_nmse(lambda p, _tf: cp.predict_batch(p), data)
+    assert abs(batched - per_record) <= 1e-12 * abs(per_record)
+
+    bf = Model(desk_model_config(head="bf", total_power=scen.total_power), seed=3)
+    p_t, sigma2 = scen.total_power, scen.noise_power
+    rates = {"model": [], "mrt_outdated": [], "zf_outdated": [], "wmmse_perfect": []}
+    for rec in data:
+        past, future = rec.past.data, rec.future.data
+        w_model = bf.predict(rec.past)
+        w_mrt = mrt_outdated(past, future.shape, p_t)
+        w_opt = wmmse_perfect(future, p_t, sigma2)
+        for t in range(rec.future.num_slots):
+            h = future[t]
+            rates["model"].append(sum_rate(h, w_model[t], sigma2))
+            rates["mrt_outdated"].append(sum_rate(h, w_mrt[t], sigma2))
+            rates["zf_outdated"].append(sum_rate(h, zero_forcing(past[-1], p_t), sigma2))
+            rates["wmmse_perfect"].append(sum_rate(h, w_opt[t], sigma2))
+    got = eval_sum_rate(bf, data, p_t, sigma2)
+    assert set(got) == set(rates)
+    for label, values in rates.items():
+        assert abs(got[label] - np.mean(values)) <= 1e-12 * np.mean(values), label
