@@ -4,6 +4,11 @@ A ``Tensor`` wraps a real-valued ndarray and records its parents plus a
 backward closure; ``backward()`` on a scalar runs the chain rule over the
 graph in reverse topological order.  The engine is real-valued only;
 complex CSI is split into two real channels before it reaches a graph.
+
+A graph computes in the dtype of its parameter leaves: constants meeting a
+tensor take its dtype, gradients keep the dtype of the node they belong to,
+and ``cast`` moves a value between dtypes.  ``ParamStore`` keeps float64
+masters; ``ParamStore.leaves(np.float32)`` gives a float32 graph.
 """
 from __future__ import annotations
 
@@ -63,30 +68,30 @@ class Tensor:
         if self.grad is None:
             self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad = self.grad + g
+            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, _lift(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, neg(_lift(other)))
+        return add(self, neg(_lift(other, self)))
 
     def __rsub__(self, other):
-        return add(_lift(other), neg(self))
+        return add(_lift(other, self), neg(self))
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return mul(self, _lift(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _lift(other))
+        return div(self, _lift(other, self))
 
     def __rtruediv__(self, other):
-        return div(_lift(other), self)
+        return div(_lift(other, self), self)
 
     def __neg__(self):
         return neg(self)
@@ -95,14 +100,19 @@ class Tensor:
         return power(self, p)
 
     def __matmul__(self, other):
-        return matmul(self, _lift(other))
+        return matmul(self, _lift(other, self))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _lift(x, like: Tensor) -> Tensor:
+    """``x`` as a graph operand; a non-tensor takes the dtype of ``like``.
+
+    NumPy would promote a float32 array against a 0-d float64 array, so a
+    scalar lifted to float64 would upcast a float32 graph.
+    """
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def constant(x) -> Tensor:
@@ -251,7 +261,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
+    tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -306,6 +316,17 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / float(count))
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """``a`` in ``dtype``; its gradient is cast back to ``a``'s dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def backward(g):
+        a._accumulate(g)  # ``_accumulate`` stores the gradient in a's dtype
+
+    return _node(a.data.astype(dtype), (a,), backward)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -465,10 +486,16 @@ class ParamStore:
             if p.trainable or not trainable_only
         )
 
-    def leaves(self) -> dict[str, Tensor]:
-        """Fresh graph leaves for one forward/backward pass."""
+    def leaves(self, dtype=None) -> dict[str, Tensor]:
+        """Fresh graph leaves for one forward/backward pass.
+
+        With ``dtype`` the leaves are copies of the float64 masters in that
+        dtype, and the graph computes in it; by default they share the
+        masters' float64 arrays.
+        """
         return {
-            n: Tensor(p.data, requires_grad=p.trainable)
+            n: Tensor(p.data if dtype is None else p.data.astype(dtype),
+                      requires_grad=p.trainable)
             for n, p in self._params.items()
         }
 

@@ -251,6 +251,10 @@ def load_dataset(path: str) -> tuple[DatasetMeta, Dataset]:
         future_noised = np.asarray(doc["sample_future_noised"], dtype=bool)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptHeaderError(f"missing/invalid key in meta.json: {exc}") from exc
+    for key, value in (("m", m), ("t_p", t_p), ("t_f", t_f)):
+        # bool is an int subclass, but JSON true is no count.
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CorruptHeaderError(f"meta.json {key} must be an integer >= 1, got {value!r}")
 
     k = scenario.num_devices
     n = scenario.num_antennas

@@ -136,9 +136,7 @@ def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
 
 def temporal_encoding(cfg: ModelConfig, origin_slot: int) -> np.ndarray:
     """[t_p, d_llm] sinusoidal positions of one window's absolute slot indices."""
-    return np.stack(
-        [nn.sinusoidal_pe((origin_slot + t) % PE_PERIOD, cfg.d_llm) for t in range(cfg.t_p)]
-    )
+    return nn.sinusoidal_pe((origin_slot + np.arange(cfg.t_p)) % PE_PERIOD, cfg.d_llm)
 
 
 def encode_csi(leaves, cfg: ModelConfig, images: Tensor, origin_slot: int = 0) -> Tensor:
@@ -156,7 +154,8 @@ def encode_csi(leaves, cfg: ModelConfig, images: Tensor, origin_slot: int = 0) -
         leaves, "encoder.proj.fc2",
         ad.gelu(nn.linear(leaves, "encoder.proj.fc1", feature)),
     )
-    return token + ad.constant(temporal_encoding(cfg, origin_slot))
+    table = temporal_encoding(cfg, origin_slot).astype(token.data.dtype, copy=False)
+    return token + ad.constant(table)
 
 
 def backbone_forward(leaves, cfg: ModelConfig, emb: Tensor) -> Tensor:
@@ -174,12 +173,16 @@ def backbone_forward(leaves, cfg: ModelConfig, emb: Tensor) -> Tensor:
 
 
 def head_mlp(leaves, cfg: ModelConfig, llm_out: Tensor) -> Tensor:
-    """Two-layer MLP from flattened backbone output to [B, t_f, 2, K, N]."""
+    """Two-layer MLP from flattened backbone output to [B, t_f, 2, K, N].
+
+    The output is float64 whatever the leaves' dtype, so denormalization,
+    power normalization and the losses run in float64.
+    """
     b = llm_out.shape[0]
     x = ad.reshape(llm_out, (b, cfg.t_p * cfg.d_llm))
     x = ad.gelu(nn.linear(leaves, "decoder.fc1", x))
     x = nn.linear(leaves, "decoder.fc2", x)
-    return ad.reshape(x, (b, cfg.t_f, 2, cfg.num_devices, cfg.num_antennas))
+    return ad.cast(ad.reshape(x, (b, cfg.t_f, 2, cfg.num_devices, cfg.num_antennas)), np.float64)
 
 
 def decode_csi_graph(leaves, cfg: ModelConfig, llm_out: Tensor, stats: NormStats) -> Tensor:
@@ -215,7 +218,8 @@ class Model:
     def forward_graph(
         self, leaves, x_norm: np.ndarray, stats: NormStats, origin_slot: int = 0
     ) -> Tensor:
-        emb = encode_csi(leaves, self.cfg, ad.constant(x_norm), origin_slot)
+        dt = leaves["encoder.patch.w"].data.dtype
+        emb = encode_csi(leaves, self.cfg, ad.constant(x_norm.astype(dt, copy=False)), origin_slot)
         self.backbone_calls += 1
         out = backbone_forward(leaves, self.cfg, emb)
         if self.cfg.head == "csi":
@@ -224,12 +228,18 @@ class Model:
 
     # -- inference -------------------------------------------------------
     def predict_batch(self, past: np.ndarray, origin_slot: int = 0) -> np.ndarray:
-        """[B, t_p, K, N] complex history -> [B, t_f, K, N] complex output."""
-        x_norm, stats = preprocess(past)
+        """[B, t_p, K, N] complex history -> [B, t_f, K, N] complex output.
+
+        Runs in float64. Raises ``FloatingPointError`` if the output is not
+        finite, e.g. for a finite history too large to standardize.
+        """
         # Constant leaves: no op records parents or a backward closure.
         leaves = {name: Tensor(p.data) for name, p in self.params.items()}
-        pred = self.forward_graph(leaves, x_norm, stats, origin_slot)
-        real = pred.data
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x_norm, stats = preprocess(past)
+            real = self.forward_graph(leaves, x_norm, stats, origin_slot).data
+        if not np.all(np.isfinite(real)):
+            raise FloatingPointError("non-finite model output")
         if self.cfg.head == "bf":
             slot_power = np.sum(real**2, axis=(2, 3, 4))
             if np.any(slot_power < 1e-30):

@@ -105,7 +105,7 @@ def attention(
         1.0 / np.sqrt(dh)
     )
     if causal:
-        mask = np.triu(np.full((s, s), MASK_NEG), k=1)
+        mask = np.triu(np.full((s, s), MASK_NEG, dtype=scores.data.dtype), k=1)
         scores = scores + ad.constant(mask)
     att = ad.softmax(scores, axis=-1)
     ctx = att @ v  # [..., heads, S, dh]
@@ -145,11 +145,16 @@ def decoder_layer(
     return _layer(leaves, prefix, x, heads, True, lora_prefix, lora_rank, lora_alpha)
 
 
-def sinusoidal_pe(t: float, d: int) -> np.ndarray:
-    """Temporal positional encoding, cos at odd 1-based components."""
+def sinusoidal_pe(t, d: int) -> np.ndarray:
+    """Temporal positional encoding, cos at odd 1-based components.
+
+    ``t`` is one slot index or an array of them; the encoding is laid out
+    along a new last axis of size ``d``.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     i = np.arange(1, d + 1, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
     even = np.sin(t / 10000.0 ** (i / d))
     odd = np.cos(t / 10000.0 ** ((i - 1) / d))
     return np.where(i % 2 == 0, even, odd)

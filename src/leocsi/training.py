@@ -17,6 +17,10 @@ from .config import check_finite
 from .dataset import Dataset
 from .models import Model, ModelConfig, preprocess
 
+# Training graphs compute in this dtype; the float64 master weights in the
+# ParamStore take the AdamW updates (mixed-precision training).
+TRAIN_DTYPE = np.float32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -172,10 +176,11 @@ def _run_training(
         for lo in range(0, m, tc.batch):
             idx = perm[lo : lo + tc.batch]
             x_norm, stats = preprocess(past[idx])
-            leaves = model.params.leaves()
-            # Overflow shows up as a non-finite loss or gradient norm, which
-            # is checked below and reported with its step.
+            # Overflow, including masters too large for TRAIN_DTYPE, shows up
+            # as a non-finite loss or gradient norm, which is checked below
+            # and reported with its step.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                leaves = model.params.leaves(TRAIN_DTYPE)
                 pred = model.forward_graph(leaves, x_norm, stats)
                 if loss_kind == "cp":
                     loss = nmse_loss_graph(pred, future[idx])

@@ -144,6 +144,46 @@ def test_value_reuse_accumulates():
     assert abs(x.grad[0] - 8.0) < 1e-12
 
 
+def test_scalars_take_the_tensor_dtype():
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    # np.float64 scalars too: NumPy 2 would promote a float32 array against
+    # a 0-d float64 array.
+    for y in (x * 0.5, 0.5 * x, x + np.float64(2.0), 1.0 - x, x / 3, 2.0 / x):
+        assert y.data.dtype == np.float32
+    ad.tsum(x * 0.5).backward()
+    assert x.grad.dtype == np.float32
+
+
+def test_cast_gradient_and_dtypes():
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.standard_normal(4), requires_grad=True)
+    low = ad.cast(w * w, np.float32)
+    assert low.data.dtype == np.float32
+    ad.tsum(low * 3.0).backward()
+    assert w.grad.dtype == np.float64
+    assert np.allclose(w.grad, 6.0 * w.data, rtol=1e-6)
+
+    x = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+    # Two float64 branches reach x: the second add keeps x's float32 gradient.
+    y = ad.tsum(ad.cast(x, np.float64) * 3.0) + ad.tsum(ad.cast(x, np.float64) ** 2)
+    assert y.data.dtype == np.float64
+    y.backward()
+    assert x.grad.dtype == np.float32
+    assert np.allclose(x.grad, 3.0 + 2.0 * x.data, rtol=1e-6)
+    assert ad.cast(x, np.float32) is x
+
+
+def test_leaves_in_a_dtype_copy_the_float64_masters():
+    store = ParamStore()
+    store.add("w", np.array([1.0, 2.0]))
+    store.add("frozen", np.array([3.0]), trainable=False)
+    default, low = store.leaves(), store.leaves(np.float32)
+    assert default["w"].data is store["w"].data
+    assert low["w"].data.dtype == np.float32 and low["w"].requires_grad
+    assert not low["frozen"].requires_grad
+    assert store["w"].data.dtype == np.float64
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_mul_grad_property(seed):

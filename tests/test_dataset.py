@@ -170,20 +170,37 @@ def test_dataset_views_index_and_mask(built):
     assert np.array_equal(sub[0].future.data, data[first].future.data)
 
 
-@pytest.mark.parametrize("case", ["nan in data.bin", "speeds of another K", "ragged speeds"])
+# Header counts that are not an int >= 1: (key, value written to meta.json).
+BAD_COUNTS = {
+    "m as a string": ("m", "20"),
+    "m as a float": ("m", 20.0),
+    "m zero": ("m", 0),
+    "t_p negative": ("t_p", -8),
+    "t_f as a bool": ("t_f", True),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["nan in data.bin", "speeds of another K", "ragged speeds", *BAD_COUNTS]
+)
 def test_bad_split_on_disk_is_a_data_error(built, tmp_path, case):
     _, _, path = built
     bad = tmp_path / "bad"
     shutil.copytree(path, bad)
     meta = json.loads((bad / "meta.json").read_text())
+    expected = DatasetError
     if case == "nan in data.bin":
         raw = np.fromfile(bad / "data.bin", dtype="<f4")
         raw[5] = np.nan
         raw.tofile(bad / "data.bin")
     elif case == "speeds of another K":
         meta["sample_speeds_mps"] = [s + s[:1] for s in meta["sample_speeds_mps"]]
-    else:
+    elif case == "ragged speeds":
         meta["sample_speeds_mps"][0] = meta["sample_speeds_mps"][0][:1]
+    else:
+        key, value = BAD_COUNTS[case]
+        meta[key] = value
+        expected = CorruptHeaderError
     (bad / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(DatasetError):
+    with pytest.raises(expected):
         load_dataset(str(bad))

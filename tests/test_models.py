@@ -1,9 +1,14 @@
 """End-to-end model pipeline: preprocessing, heads, decoding, persistence."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from leocsi import nn
 from leocsi.autodiff import Tensor
 from leocsi.models import (
+    PE_PERIOD,
     Model,
     ModelConfig,
     SIGMA_FLOOR,
@@ -117,6 +122,27 @@ def test_temporal_encoding_shape_and_offset():
     enc5 = temporal_encoding(TINY, 5)
     assert enc0.shape == (TINY.t_p, TINY.d_llm)
     assert not np.array_equal(enc0, enc5)
+    # One vectorised call equals the per-slot encodings bit for bit.
+    cfg = ModelConfig()
+    for origin in (0, 5, PE_PERIOD - 3):
+        rows = [nn.sinusoidal_pe((origin + t) % PE_PERIOD, cfg.d_llm) for t in range(cfg.t_p)]
+        assert np.array_equal(temporal_encoding(cfg, origin), np.stack(rows))
+
+
+def test_non_finite_prediction_raises():
+    # Finite but huge: standardization overflows, without a numpy warning.
+    # Its sigma is inf, so the CSI head's denormalized output is not finite;
+    # the beamforming head normalizes its output and stays finite.
+    cfg = replace(TINY, head="bf")
+    csi, bf = Model(TINY, seed=0), Model(cfg, seed=0)
+    past = _random_past(TINY, seed=4) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            csi.predict_batch(past)
+        with pytest.raises(FloatingPointError):
+            csi.predict(past[0])
+        assert np.all(np.isfinite(bf.predict_batch(past)))
 
 
 def test_to_complex_round_trip():

@@ -1,11 +1,15 @@
 """Losses, freezing, optimizer plumbing, and short training runs."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from leocsi.beamform import sum_rate
 from leocsi.config import desk_scenario
 from leocsi.dataset import build_dataset
-from leocsi.models import Model, desk_model_config
+from leocsi.models import Model, desk_model_config, preprocess
+from leocsi import training
 from leocsi.training import (
     TrainConfig,
     backbone_checksum,
@@ -162,6 +166,46 @@ def test_non_finite_step_stops_training(tiny_records):
     # second step's loss overflows; training stops there, before updating.
     model = Model(TINY, seed=0)
     tc = TrainConfig(batch=8, epochs=2, lr=1e300, max_steps=5)
-    with pytest.raises(FloatingPointError, match="at step 1$"):
-        finetune_cp(tiny_records, model, tc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match="at step 1$"):
+            finetune_cp(tiny_records, model, tc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert all(np.all(np.isfinite(p.data)) for _, p in model.params.items())
+
+
+def test_training_step_precision_policy(tiny_records, monkeypatch):
+    # float32 graph and gradients, float64 loss and master weights.
+    seen = {}
+    step, loss_graph = training.AdamW.step, training.nmse_loss_graph
+
+    def spy_step(self, store, grads):
+        seen["grads"] = {g.dtype for g in grads.values()}
+        step(self, store, grads)
+
+    def spy_loss(pred, truth):
+        loss = loss_graph(pred, truth)
+        seen["loss"] = loss.data.dtype
+        return loss
+
+    monkeypatch.setattr(training.AdamW, "step", spy_step)
+    monkeypatch.setattr(training, "nmse_loss_graph", spy_loss)
+    model = Model(TINY, seed=0)
+    finetune_cp(tiny_records, model, TrainConfig(batch=8, max_steps=1, freeze="none"))
+    assert seen == {"grads": {np.dtype(np.float32)}, "loss": np.dtype(np.float64)}
+    assert {p.data.dtype for _, p in model.params.items()} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("head", ["csi", "bf"])
+def test_float32_loss_matches_float64(tiny_records, head):
+    model = Model(replace(TINY, head=head), seed=0)
+    x_norm, stats = preprocess(tiny_records.past[:8])
+    future = tiny_records.future[:8]
+    losses = []
+    for dtype in (None, training.TRAIN_DTYPE):
+        pred = model.forward_graph(model.params.leaves(dtype), x_norm, stats)
+        if head == "csi":
+            losses.append(float(nmse_loss_graph(pred, future).data))
+        else:
+            losses.append(float(bf_loss_graph(pred, future, 0.1).data))
+    assert losses[1] == pytest.approx(losses[0], rel=1e-6)
