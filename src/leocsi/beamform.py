@@ -49,7 +49,11 @@ def zero_forcing(H: np.ndarray, total_power: float) -> np.ndarray:
     if k > n:
         raise ValueError("zero forcing requires K <= N")
     gram = H.conj() @ H.T
-    if np.linalg.matrix_rank(gram) < k or np.linalg.cond(gram) > 1e12:
+    # One SVD for both tests: matrix_rank's default tolerance, then the
+    # 2-norm condition number, which is finite once the rank is full.
+    sv = np.linalg.svd(gram, compute_uv=False)
+    rank = np.count_nonzero(sv > sv.max() * k * np.finfo(sv.dtype).eps)
+    if rank < k or sv[0] / sv[-1] > 1e12:
         raise np.linalg.LinAlgError("rank-deficient channel matrix")
     # Right pseudo-inverse of conj(H): h_j^H w_k = 0 for j != k.
     pinv = H.T @ np.linalg.inv(gram)  # [N, K]
@@ -57,82 +61,81 @@ def zero_forcing(H: np.ndarray, total_power: float) -> np.ndarray:
     return np.sqrt(total_power / k) * cols.T
 
 
-def _wmmse_w_update(H, lam, u, total_power, inner_tol=1e-13):
+def _wmmse_w_update(H, gram, lam, u, total_power, mu=None, inner_tol=1e-13):
     """Weighted-MMSE transmit update with a safeguarded search on the power multiplier.
 
-    The problem is solved on the range of ``A``, the row span of ``H``: its
-    eigen-directions at or below ``matrix_rank``'s default tolerance hold
-    rounding noise, and the right-hand sides have no part along them.
-    The returned beamformer's power never exceeds ``total_power``: the search
-    keeps a bracket ``lo < mu <= hi`` with ``power(lo) > total_power >=
-    power(hi)`` and returns the solution at ``hi`` once the bracket is
-    narrower than ``inner_tol * max(1, hi)``.
-    """
-    weights = lam * np.abs(u) ** 2
-    A = (H.T * weights) @ H.conj()  # sum_j weights_j h_j h_j^H
-    B = (lam * np.conj(u))[:, None] * H  # [K, N] right-hand sides
+    Returns ``(W, mu)`` with ``W = B (conj(A) + mu I)^-1``, where
+    ``A = sum_k lam_k |u_k|^2 h_k h_k^H`` and ``B = diag(lam conj(u)) H``.  By
+    the push-through identity this is ``diag(beta/s) (S G S + mu I)^-1 S H``
+    with ``S = diag(s)``, ``s = sqrt(lam) |u|``, ``beta = lam conj(u)`` and
+    ``G = H H^H`` (``gram``), so only a K x K matrix is diagonalized and W
+    lies in the row span of H.  Eigen-directions at or below
+    ``matrix_rank``'s default tolerance hold rounding noise and are dropped.
+    A device with ``u_k = 0`` has weight 0 and a zero row.
 
-    # Diagonalize once; with c = sum_k |Q^H b_k|^2 each multiplier probe is
-    # a dot product over the rank of A.
-    evals, Q = np.linalg.eigh(A)
-    keep = evals > evals.max() * A.shape[0] * np.finfo(float).eps
-    evals, Q = evals[keep], Q[:, keep]
-    Bq = B @ Q.conj()  # rows are Q^H b_i
-    c = np.sum(np.abs(Bq) ** 2, axis=0)
+    The search starts from ``mu`` (the previous multiplier, if any) and keeps
+    a bracket ``lo < mu <= hi`` with ``power(lo) > total_power >=
+    power(hi)``.  The returned beamformer is the solution at ``hi``, once the
+    bracket is narrower than ``inner_tol * max(1, hi)``, so its power never
+    exceeds ``total_power``.
+    """
+    s = np.sqrt(lam) * np.abs(u)
+    evals, V = np.linalg.eigh(gram * (s[:, None] * s))
+    keep = evals > evals.max() * len(s) * np.finfo(float).eps
+    evals, V = evals[keep], V[:, keep]
+    Y = (np.sqrt(lam) * np.sign(np.conj(u)))[:, None] * V  # diag(beta/s) V, 0 where s = 0
+    M = V.conj().T @ (s[:, None] * H)  # orthogonal rows with squared norms evals
+    # W(mu) = Y (evals + mu)^-1 M, so power(mu) = sum_i c_i / (evals_i + mu)^2.
+    c = evals * np.sum(np.abs(Y) ** 2, axis=0)
 
     def solve(mu):
-        return (Bq / (evals + mu)) @ Q.T
-
-    def power(mu):
-        return float(c @ (evals + mu) ** -2)
+        return (Y / (evals + mu)) @ M
 
     # Interior solution: already within budget at mu = 0.
-    if power(0.0) <= total_power:
-        return solve(0.0)
+    if float(c @ evals**-2) <= total_power:
+        return solve(0.0), 0.0
 
     target = total_power ** -0.5
-    psi = {}  # psi(mu) = power(mu)**-1/2 at every probed mu
 
     def probe(mu):
-        """Narrow the bracket with a probe at ``mu``, if ``mu`` lies inside it."""
+        """Narrow the bracket with the power at ``mu``; return the Newton
+        point on psi(mu) = power(mu)**-1/2 from ``mu``."""
         nonlocal lo, hi
-        if lo < mu < hi:
-            p = power(mu)
-            psi[mu] = p**-0.5 if p > 0.0 else math.inf
-            if p > total_power:
-                lo = mu
-            else:
-                hi = mu
+        inv = 1.0 / (evals + mu)
+        terms = c * inv * inv
+        p = float(terms.sum())
+        if p > total_power:
+            lo = mu
+        else:
+            hi = mu
+        if p <= 0.0:
+            return math.nan
+        psi = p**-0.5
+        return mu + (target - psi) / (float(terms @ inv) * psi**3)
 
-    lo, hi, mu = 0.0, math.inf, 1.0
-    for _ in range(200):
-        probe(mu)
-        if hi < math.inf:
-            break
-        mu *= 2.0
-    else:
-        raise FloatingPointError(f"cannot bracket WMMSE power multiplier, mu={mu}")
-
-    # psi is concave and increasing in mu, so a Newton step on psi from lo
-    # stops short of the root and the secant through lo and hi overshoots it:
-    # each round closes the bracket from both ends.  The Newton step is held
-    # inside the final tolerance below hi, steps outside the bracket are
-    # skipped, and a round that does not halve the bracket ends in bisection.
-    # lo = 0 is never probed, so a round that starts there only bisects.
+    # psi is concave and increasing in mu, so one Newton step from either
+    # side of the root lands at or below it, and from there the Newton
+    # iterates climb to it monotonically.  Once a step is shorter than half
+    # the tolerance, the point just probed is the root up to rounding, and
+    # one probe half the tolerance across it closes the bracket.  A point
+    # outside the bracket (or NaN), or a converged step from a closing probe
+    # that fell short, is replaced by bisection, or by doubling while no hi
+    # is known.  Every probe lies inside the bracket; lo = 0 is never probed.
+    lo, hi, x, closing = 0.0, math.inf, mu or 1.0, None
     for _ in range(400):
-        width = hi - lo
-        if width < inner_tol * max(1.0, hi):
+        step = probe(x) - x
+        if hi - lo < inner_tol * max(1.0, hi):
             break
-        if lo in psi:
-            inv = 1.0 / (evals + lo)
-            slope = float(c @ inv**3) * psi[lo] ** 3  # d psi / d mu at lo
-            newton = lo + (target - psi[lo]) / slope
-            probe(min(newton, hi - 0.5 * inner_tol * max(1.0, hi)))
-            if psi[hi] > psi[lo]:
-                probe(lo + (hi - lo) * (target - psi[lo]) / (psi[hi] - psi[lo]))
-        if hi - lo > 0.5 * width:
-            probe(0.5 * (lo + hi))
-    return solve(hi)
+        half = 0.5 * inner_tol * max(1.0, x)
+        if abs(step) < half:
+            step = math.nan if x == closing else half if x == lo else -half
+            closing = x + step
+        x += step
+        if not lo < x < hi:
+            x = 2.0 * max(lo, 1.0) if hi == math.inf else 0.5 * (lo + hi)
+    if hi == math.inf:
+        raise FloatingPointError(f"cannot bracket WMMSE power multiplier, mu={x}")
+    return solve(hi), hi
 
 
 def wmmse(
@@ -152,8 +155,9 @@ def wmmse(
     if tol <= 0:
         raise ValueError("tol must be positive")
     H = np.asarray(H)
-    k, _ = H.shape
     W = mrt(H, total_power) if init is None else np.array(init, dtype=complex)
+    gram = H @ H.conj().T
+    mu = None
 
     trace = [sum_rate(H, W, noise_power)]
     for _ in range(max_iter):
@@ -162,7 +166,7 @@ def wmmse(
         u = np.conj(np.diag(hw)) / denom
         mse = 1.0 - u * np.diag(hw)
         lam = 1.0 / np.real(mse)
-        W = _wmmse_w_update(H, lam, u, total_power)
+        W, mu = _wmmse_w_update(H, gram, lam, u, total_power, mu)
         trace.append(sum_rate(H, W, noise_power))
         if abs(trace[-1] - trace[-2]) < tol:
             break

@@ -213,17 +213,22 @@ def generate_episode(
     kappa = config.rician_linear
     w_los = np.sqrt(kappa / (kappa + 1.0))
     w_nlos = np.sqrt(1.0 / (kappa + 1.0)) / np.sqrt(config.num_paths)
-    tables = []
-    for k, speed in enumerate(device_speeds):
-        sub_seed = np.random.SeedSequence([rng_seed, k]).generate_state(1)[0]
-        params = sample_device_params(config, speed, int(sub_seed))
-        tables.append(_path_table(params, w_los, w_nlos))
-    thetas, phis, dopplers, delays, gains = (np.stack(col) for col in zip(*tables))  # [K, L+1]
+    # A finite scenario can still overflow (say a carrier of 1e-300 Hz); that
+    # is reported once, below, instead of as numpy warnings on the way.
+    with np.errstate(all="ignore"):
+        tables = []
+        for k, speed in enumerate(device_speeds):
+            sub_seed = np.random.SeedSequence([rng_seed, k]).generate_state(1)[0]
+            params = sample_device_params(config, speed, int(sub_seed))
+            tables.append(_path_table(params, w_los, w_nlos))
+        thetas, phis, dopplers, delays, gains = (np.stack(col) for col in zip(*tables))  # [K, L+1]
 
-    steer = array_response(thetas, phis, config.geometry)  # [K, L+1, N]
-    t = np.arange(total_slots)[:, None, None] * config.slot_interval_s  # [T, 1, 1]
-    phase = np.exp(2j * np.pi * (t * dopplers - config.carrier_hz * delays))  # [T, K, L+1]
-    data = np.matmul((gains * phase).transpose(1, 0, 2), steer)  # [K, T, N]
+        steer = array_response(thetas, phis, config.geometry)  # [K, L+1, N]
+        t = np.arange(total_slots)[:, None, None] * config.slot_interval_s  # [T, 1, 1]
+        phase = np.exp(2j * np.pi * (t * dopplers - config.carrier_hz * delays))  # [T, K, L+1]
+        data = np.matmul((gains * phase).transpose(1, 0, 2), steer)  # [K, T, N]
+    if not np.all(np.isfinite(data)):
+        raise FloatingPointError("the scenario gives non-finite CSI")
     return CsiTensor(
         data=np.ascontiguousarray(data.transpose(1, 0, 2)),
         slot_interval_s=config.slot_interval_s,

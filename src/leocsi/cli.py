@@ -177,11 +177,14 @@ def cmd_generate(args, doc):
     scenario, model_cfg, _ = resolve(doc, args.desk)
     if args.train_count < 1 or args.test_count < 1:
         raise ConfigError("--train-count and --test-count must be >= 1")
-    splits = {
-        split: build_dataset(scenario, count, split=split,
-                             t_p=model_cfg.t_p, t_f=model_cfg.t_f, seed=args.seed)
-        for split, count in (("train", args.train_count), ("test", args.test_count))
-    }
+    try:
+        splits = {
+            split: build_dataset(scenario, count, split=split,
+                                 t_p=model_cfg.t_p, t_f=model_cfg.t_f, seed=args.seed)
+            for split, count in (("train", args.train_count), ("test", args.test_count))
+        }
+    except FloatingPointError as exc:  # the configuration is generate's only input
+        raise ConfigError(str(exc)) from exc
     run_dir = make_run_dir(args.out, args.seed)
     for split, (meta, data) in splits.items():
         save_dataset(os.path.join(run_dir, split), meta, data)

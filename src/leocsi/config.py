@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 import math
+import numbers
 
 # Propagation speed used for Doppler and delay conversions.  Kept at the
 # round engineering value so the documented 125 kHz satellite-Doppler bound
@@ -21,13 +22,46 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def check_finite(cfg) -> None:
-    """Reject NaN/Inf in any float field of a config dataclass, tuples included."""
+_KINDS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_fields(cfg) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    ``int`` takes integers and ``float`` real numbers, bools being neither;
+    ``str`` and ``bool`` take only themselves; ``tuple[float, float]`` takes
+    a tuple of that many; ``X | None`` also takes None.  A float must be
+    finite.  Raises ``TypeError`` or ``ValueError`` naming the field.
+    """
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind.startswith("tuple["):
+            kinds = kind[len("tuple["):-1].split(", ")
+            if not isinstance(value, tuple) or len(value) != len(kinds):
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            items = zip(kinds, value)
+        else:
+            items = ((kind, value),)
+        for k, v in items:
+            if not _KINDS[k](v):
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            if k == "float" and not _finite(v):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +129,7 @@ class ScenarioConfig:
     sat_doppler_residual_hz: float = 0.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         positive = (
             "carrier_hz", "altitude_m", "num_paths", "num_devices",
             "slot_interval_s", "max_delay_spread_s", "noise_power",
@@ -104,10 +138,20 @@ class ScenarioConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.sat_speed_mps < 0:
-            raise ValueError("sat_speed_mps must be non-negative")
-        if self.sat_doppler_residual_hz < 0:
-            raise ValueError("sat_doppler_residual_hz must be non-negative")
+        non_negative = (
+            "sat_speed_mps", "sat_doppler_residual_hz", "nlos_angle_offset", "sat_doppler_cone",
+        )
+        for name in non_negative:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("device_speed_range_mps", "los_theta_range", "los_phi_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ValueError(f"{name} must be (low, high) with low <= high")
+        try:
+            self.rician_linear
+        except OverflowError:
+            raise ValueError(f"rician_db {self.rician_db} overflows a float") from None
 
     @property
     def geometry(self) -> ArrayGeometry:

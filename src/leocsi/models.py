@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import ParamStore, Tensor
 from .channel import CsiTensor
-from .config import check_finite
+from .config import check_fields
 
 SIGMA_FLOOR = 1e-6
 PE_PERIOD = 10_000  # absolute slot indices wrap at this period
@@ -43,9 +43,10 @@ class ModelConfig:
     head: str = "csi"  # "csi" or "bf"
 
     def __post_init__(self):
-        check_finite(self)
-        if self.d_enc <= 0 or self.d_llm <= 0:
-            raise ValueError("model widths must be positive")
+        check_fields(self)
+        for name in ("t_p", "t_f", "num_devices", "num_antennas", "patch", "d_enc", "d_llm"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.heads < 1 or self.d_enc % self.heads or self.d_llm % self.heads:
             raise ValueError("heads must be >= 1 and divide both d_enc and d_llm")
         if self.num_devices % self.patch or self.num_antennas % self.patch:
@@ -117,6 +118,8 @@ def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
 
     ``past`` is [t_p, K, N] or [B, t_p, K, N] complex; statistics are
     computed per sample over all real values of its history images.
+    Raises ``FloatingPointError`` if a sample's mean or standard deviation
+    is not finite.
     """
     past = np.asarray(past)
     squeeze = past.ndim == 3
@@ -128,6 +131,10 @@ def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
     flat = real.reshape(real.shape[0], -1)
     mu = flat.mean(axis=1)
     sigma = np.maximum(flat.std(axis=1), SIGMA_FLOOR)
+    if not np.all(np.isfinite((mu, sigma))):
+        # A finite but huge history overflows its statistics; dividing by an
+        # infinite sigma would standardize it to all zeros.
+        raise FloatingPointError("history CSI too large to standardize")
     norm = (real - mu[:, None, None, None, None]) / sigma[:, None, None, None, None]
     if squeeze:
         return norm[0], NormStats(mu=mu, sigma=sigma)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, ParamStore, Tensor
-from .config import check_finite
+from .config import check_fields
 from .dataset import Dataset
 from .models import Model, ModelConfig, preprocess
 
@@ -36,7 +36,7 @@ class TrainConfig:
     noise_power: float = 0.1  # used by the beamforming loss
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
         if self.freeze not in ("backbone", "none"):

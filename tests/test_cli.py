@@ -1,16 +1,23 @@
 """Command-line interface: subcommands, exit codes, run artifacts."""
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leocsi.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from leocsi.config import desk_scenario
+from leocsi.config import ScenarioConfig, desk_scenario
 from leocsi.dataset import Dataset, DatasetMeta, build_dataset, load_dataset, save_dataset
 from leocsi.evaluation import BASELINES, eval_nmse
-from leocsi.models import Model, desk_model_config
+from leocsi.models import Model, ModelConfig, desk_model_config
+from leocsi.training import TrainConfig
 
 
 def run(*argv):
@@ -205,6 +212,19 @@ def test_exit_code_config_error(tmp_path, capsys):
         ["--desk", "--set", "train.lr=NaN", *generate],
         ["--desk", "generate", "--train-count", "0", "--test-count", "1"],
         ["--desk", "--set", "model.heads=3", "train-cp", "--dataset", "unused"],
+        # Field types: ints take no float, string or bool; tuples need their length.
+        ["--desk", "--set", "model.t_p=abc", *generate],
+        ["--set", "model.t_p=abc", "pretrain", "--dataset", "unused"],
+        ["--set", "train.batch=2.5", "pretrain", "--dataset", "unused"],
+        ["--set", "train.betas=1", "pretrain", "--dataset", "unused"],
+        ["--set", "model.d_llm=1e3", "pretrain", "--dataset", "unused"],
+        ["--desk", "--set", "model.patch=true", *generate],
+        ["--desk", "--set", "scenario.los_phi_range=[1, 2, 3]", *generate],
+        # Finite values that used to crash channel synthesis.
+        ["--desk", "--set", "scenario.rician_db=1e300", *generate],
+        ["--desk", "--set", "scenario.carrier_hz=1e-300", *generate],
+        ["--desk", "--set", "scenario.device_speed_range_mps=[2, 1]", *generate],
+        ["--desk", "--set", "model.t_f=0", *generate],
     ]
     for i, flags in enumerate(cases):
         out = str(tmp_path / f"r{i}")
@@ -213,6 +233,45 @@ def test_exit_code_config_error(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), flags
         assert not os.path.exists(out), flags
+
+
+_CONFIG_KEYS = [
+    f"{section}.{field.name}"
+    for section, cls in (("scenario", ScenarioConfig), ("model", ModelConfig), ("train", TrainConfig))
+    for field in dataclasses.fields(cls)
+]
+_NUMBER_TEXT = st.one_of(
+    st.integers(-2, 16).map(str),
+    st.sampled_from(["NaN", "1e400", "-1e400", "0.0", "0.5", "-1.0", "2.5", "1e3", "1e300", "1e-300"]),
+)
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.sampled_from(['"abc"', "abc", '"csi"', '"bf"', '"none"', "true", "false", "null"]),
+    st.lists(_NUMBER_TEXT, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _VALUE_TEXT), min_size=1, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_set_fuzz_exits_cleanly(overrides):
+    # Any --set value either runs or is one config error line with no run
+    # directory: never a traceback or a numpy warning.
+    argv = ["--desk"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "runs")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", out, "generate", "--train-count", "1", "--test-count", "1"])
+        lines = err.getvalue().strip().splitlines()
+        if code == EXIT_CONFIG:
+            assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+            assert not os.path.exists(out)
+        else:
+            assert code == 0 and not lines, (code, lines)
 
 
 def test_train_shape_mismatch_is_data_error(cli_dataset, tmp_path, capsys):
