@@ -18,14 +18,14 @@ def sinr(H: np.ndarray, W: np.ndarray, noise_power: float) -> np.ndarray:
     if H.shape != W.shape:
         raise ValueError("H and W must both be [K, N]")
     cross = np.abs(H.conj() @ W.T) ** 2  # cross[k, j] = |h_k^H w_j|^2
-    signal = np.diag(cross)
+    signal = cross.diagonal()
     interference = cross.sum(axis=1) - signal
     return signal / (interference + noise_power)
 
 
 def sum_rate(H: np.ndarray, W: np.ndarray, noise_power: float) -> float:
     """Achievable sum rate in bits/s/Hz."""
-    return float(np.sum(np.log2(1.0 + sinr(H, W, noise_power))))
+    return float(np.log2(1.0 + sinr(H, W, noise_power)).sum())
 
 
 def mrt(H: np.ndarray, total_power: float) -> np.ndarray:
@@ -49,11 +49,7 @@ def zero_forcing(H: np.ndarray, total_power: float) -> np.ndarray:
     if k > n:
         raise ValueError("zero forcing requires K <= N")
     gram = H.conj() @ H.T
-    # One SVD for both tests: matrix_rank's default tolerance, then the
-    # 2-norm condition number, which is finite once the rank is full.
-    sv = np.linalg.svd(gram, compute_uv=False)
-    rank = np.count_nonzero(sv > sv.max() * k * np.finfo(sv.dtype).eps)
-    if rank < k or sv[0] / sv[-1] > 1e12:
+    if np.linalg.matrix_rank(gram) < k or np.linalg.cond(gram) > 1e12:
         raise np.linalg.LinAlgError("rank-deficient channel matrix")
     # Right pseudo-inverse of conj(H): h_j^H w_k = 0 for j != k.
     pinv = H.T @ np.linalg.inv(gram)  # [N, K]
@@ -79,14 +75,17 @@ def _wmmse_w_update(H, gram, lam, u, total_power, mu=None, inner_tol=1e-13):
     bracket is narrower than ``inner_tol * max(1, hi)``, so its power never
     exceeds ``total_power``.
     """
-    s = np.sqrt(lam) * np.abs(u)
+    r, a = np.sqrt(lam), np.abs(u)
+    s = r * a
     evals, V = np.linalg.eigh(gram * (s[:, None] * s))
     keep = evals > evals.max() * len(s) * np.finfo(float).eps
     evals, V = evals[keep], V[:, keep]
-    Y = (np.sqrt(lam) * np.sign(np.conj(u)))[:, None] * V  # diag(beta/s) V, 0 where s = 0
+    # diag(beta/s) V with beta/s = sqrt(lam) conj(u)/|u|, and 0 where u = 0.
+    # (np.sign of a complex number is z/|z| only from numpy 2.0 on.)
+    Y = (r * np.conj(u) / np.where(a > 0, a, 1.0))[:, None] * V
     M = V.conj().T @ (s[:, None] * H)  # orthogonal rows with squared norms evals
     # W(mu) = Y (evals + mu)^-1 M, so power(mu) = sum_i c_i / (evals_i + mu)^2.
-    c = evals * np.sum(np.abs(Y) ** 2, axis=0)
+    c = evals * (np.abs(Y) ** 2).sum(axis=0)
 
     def solve(mu):
         return (Y / (evals + mu)) @ M
@@ -162,9 +161,10 @@ def wmmse(
     trace = [sum_rate(H, W, noise_power)]
     for _ in range(max_iter):
         hw = H.conj() @ W.T  # hw[k, j] = h_k^H w_j
-        denom = np.sum(np.abs(hw) ** 2, axis=1) + noise_power
-        u = np.conj(np.diag(hw)) / denom
-        mse = 1.0 - u * np.diag(hw)
+        d = hw.diagonal()
+        denom = (np.abs(hw) ** 2).sum(axis=1) + noise_power
+        u = np.conj(d) / denom
+        mse = 1.0 - u * d
         lam = 1.0 / np.real(mse)
         W, mu = _wmmse_w_update(H, gram, lam, u, total_power, mu)
         trace.append(sum_rate(H, W, noise_power))
