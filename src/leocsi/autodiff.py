@@ -383,15 +383,51 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(xhat * gain.data + bias.data, (a, gain, bias), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    # Shifting by the max leaves the result (and gradient) unchanged.
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out_val = e / e.sum(axis=axis, keepdims=True)
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., S, D] -> [..., heads, S, D / heads], a view."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[..., heads, S, dh] -> [..., S, heads * dh]."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
+    """Multi-head softmax(Q Kᵀ / √dh + mask) V as one node.
+
+    ``q`` is [..., Sq, D]; ``k`` and ``v`` are [..., Sk, D]; ``mask`` is an
+    additive [Sq, Sk] array or None.  Heads are split and merged with views
+    inside the op.  The backward pass is closed form: with P the attention
+    weights and G the gradient of the merged context,
+    dV = Pᵀ G, dS = P ⊙ (G Vᵀ − rowsum(G Vᵀ ⊙ P)) · scale, dQ = dS K and
+    dK = dSᵀ Q.
+    """
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    kt = kh.swapaxes(-1, -2)
+    # The scale takes the graph dtype: a float64 scalar would upcast float32.
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=q.data.dtype)
+    scores = (qh @ kt) * scale
+    if mask is not None:
+        scores = scores + mask
+    # Shifting by the row max leaves the weights (and gradients) unchanged.
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        a._accumulate(out_val * (g - (g * out_val).sum(axis=axis, keepdims=True)))
+        gh = _split_heads(g, heads)
+        if v.requires_grad:
+            v._accumulate(_merge_heads(p.swapaxes(-1, -2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            dp = gh @ vh.swapaxes(-1, -2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                q._accumulate(_merge_heads(ds @ kh))
+            if k.requires_grad:
+                k._accumulate(_merge_heads((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
 
-    return _node(out_val, (a,), backward)
+    return _node(_merge_heads(p @ vh), (q, k, v), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

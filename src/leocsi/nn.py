@@ -88,31 +88,20 @@ def attention(
     lora_alpha: float = 0.0,
 ) -> Tensor:
     """Scaled dot-product multi-head self-attention over [..., S, D]."""
-    *lead, s, d = x.shape
+    d = x.shape[-1]
     if d % heads:
         raise ValueError("model width must be divisible by head count")
-    dh = d // heads
 
     def proj(name):
         lp = f"{lora_prefix}.{name}" if lora_prefix is not None else None
-        y = lora_linear(leaves, f"{prefix}.{name}", lp, x, lora_rank, lora_alpha)
-        y = ad.reshape(y, tuple(lead) + (s, heads, dh))
-        ndim = len(lead)
-        return ad.transpose(y, tuple(range(ndim)) + (ndim + 1, ndim, ndim + 2))
+        return lora_linear(leaves, f"{prefix}.{name}", lp, x, lora_rank, lora_alpha)
 
     q, k, v = proj("q"), proj("k"), proj("v")
-    scores = (q @ ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))) * (
-        1.0 / np.sqrt(dh)
-    )
+    mask = None
     if causal:
-        mask = np.triu(np.full((s, s), MASK_NEG, dtype=scores.data.dtype), k=1)
-        scores = scores + ad.constant(mask)
-    att = ad.softmax(scores, axis=-1)
-    ctx = att @ v  # [..., heads, S, dh]
-    ndim = len(lead)
-    ctx = ad.transpose(ctx, tuple(range(ndim)) + (ndim + 1, ndim, ndim + 2))
-    ctx = ad.reshape(ctx, tuple(lead) + (s, d))
-    return linear(leaves, f"{prefix}.o", ctx)
+        s = x.shape[-2]
+        mask = np.triu(np.full((s, s), MASK_NEG, dtype=x.data.dtype), k=1)
+    return linear(leaves, f"{prefix}.o", ad.attention(q, k, v, heads, mask))
 
 
 def _layer(leaves, prefix, x, heads, causal, lora_prefix, lora_rank, lora_alpha):

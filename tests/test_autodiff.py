@@ -106,16 +106,18 @@ def test_broadcast_to():
     check(lambda a: ad.tsum(ad.broadcast_to(a, (5, 3)) ** 2), (1, 3))
 
 
-def test_softmax():
-    check(lambda a: ad.tsum(ad.softmax(a, axis=-1) * np.arange(4.0)), (3, 4))
+def test_attention():
     weights = np.random.default_rng(3).standard_normal((2, 3, 4))
-    check(lambda a: ad.tsum(ad.softmax(a, axis=-1) * weights), (2, 3, 4))
+    check(lambda q, k, v: ad.tsum(ad.attention(q, k, v, 2) * weights), (2, 3, 4), (2, 5, 4), (2, 5, 4))
 
 
-def test_softmax_rows_sum_to_one():
-    x = Tensor(np.random.default_rng(0).standard_normal((4, 6)) * 10)
-    s = ad.softmax(x, axis=-1).data
-    assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
+def test_attention_of_constant_values_returns_them():
+    # The weights of each query row sum to one, so equal value rows come back.
+    rng = np.random.default_rng(0)
+    q, k = (Tensor(rng.standard_normal((2, 4, 6)) * 10) for _ in range(2))
+    v = np.broadcast_to(rng.standard_normal(6), (2, 4, 6))
+    out = ad.attention(q, k, Tensor(v.copy()), 3).data
+    np.testing.assert_allclose(out, v, rtol=0, atol=1e-12)
 
 
 def test_layer_norm():
@@ -286,6 +288,37 @@ def _softmax_oracle(a):
     return e / ad.tsum(e, axis=-1, keepdims=True)
 
 
+def _attention_oracle(q, k, v, heads, mask=None):
+    """Multi-head attention as a composite graph: head reshapes and
+    transposes, two batched matmuls, a scale, a mask add and a softmax."""
+
+    def split(t):
+        *lead, s, d = t.shape
+        n = len(lead)
+        t = ad.reshape(t, tuple(lead) + (s, heads, d // heads))
+        return ad.transpose(t, tuple(range(n)) + (n + 1, n, n + 2))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    n = kh.ndim
+    scores = (qh @ ad.transpose(kh, tuple(range(n - 2)) + (n - 1, n - 2))) * (
+        1.0 / np.sqrt(qh.shape[-1])
+    )
+    if mask is not None:
+        scores = scores + ad.constant(mask)
+    ctx = _softmax_oracle(scores) @ vh
+    ctx = ad.transpose(ctx, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+    return ad.reshape(ctx, q.shape)
+
+
+def _attention_case(sq, sk, causal, lead=(2,), heads=2, d=8):
+    mask = np.triu(np.full((sk, sk), -1e30), k=1)[:sq] if causal else None
+    return (
+        lambda q, k, v: ad.attention(q, k, v, heads, mask),
+        lambda q, k, v: _attention_oracle(q, k, v, heads, mask),
+        [lead + (sq, d), lead + (sk, d), lead + (sk, d)],
+    )
+
+
 def _gelu_oracle(a):
     inner = np.sqrt(2.0 / np.pi) * (a + 0.044715 * a * a * a)
     return 0.5 * a * (1.0 + ad.tanh(inner))
@@ -297,10 +330,19 @@ def _gelu_oracle(a):
         (ad.linear, _linear_oracle, [(3, 2, 4, 6), (5, 6), (5,)]),
         (ad.linear, _linear_oracle, [(7, 6), (5, 6)]),
         (ad.layer_norm, _layer_norm_oracle, [(3, 4, 8), (8,), (8,)]),
-        (ad.softmax, _softmax_oracle, [(3, 4, 8)]),
         (ad.gelu, _gelu_oracle, [(3, 4, 8)]),
+        _attention_case(3, 3, False),
+        _attention_case(3, 3, True),
+        _attention_case(8, 8, False, lead=(2, 3)),
+        _attention_case(8, 8, True, lead=(2, 3)),
+        _attention_case(41, 41, False),
+        _attention_case(41, 41, True),
+        _attention_case(1, 41, False, lead=(2, 3)),
+        _attention_case(3, 8, True),
     ],
-    ids=["linear-4d-bias", "linear-2d", "layer_norm", "softmax", "gelu"],
+    ids=["linear-4d-bias", "linear-2d", "layer_norm", "gelu",
+         "attention-S3", "attention-S3-causal", "attention-S8", "attention-S8-causal",
+         "attention-S41", "attention-S41-causal", "attention-Sq1-Sk41", "attention-Sq3-Sk8-causal"],
 )
 def test_fused_op_matches_composite_oracle(fused, oracle, shapes):
     rng = np.random.default_rng(4)
