@@ -153,10 +153,13 @@ def encode_csi(leaves, cfg: ModelConfig, images: Tensor, origin_slot: int = 0) -
     cls = ad.broadcast_to(leaves["encoder.cls"], (b, t_p, 1, cfg.d_enc))
     x = ad.concat([cls, tokens], axis=2)
     x = x + leaves["encoder.pos"]
+    # Only the readout token's final state is read, so the last layer
+    # computes that token alone; layer norm is row-wise, so slicing before
+    # ``encoder.lnf`` leaves the token unchanged.
     for i in range(cfg.encoder_layers):
-        x = nn.encoder_layer(leaves, f"encoder.l{i}", x, cfg.heads)
-    x = ad.layer_norm(x, leaves["encoder.lnf.g"], leaves["encoder.lnf.b"])
-    feature = x[:, :, 0, :]  # readout token state, [B, t_p, d_enc]
+        last = i == cfg.encoder_layers - 1
+        x = nn.encoder_layer(leaves, f"encoder.l{i}", x, cfg.heads, readout=last)
+    feature = ad.layer_norm(x[:, :, 0, :], leaves["encoder.lnf.g"], leaves["encoder.lnf.b"])
     token = nn.linear(
         leaves, "encoder.proj.fc2",
         ad.gelu(nn.linear(leaves, "encoder.proj.fc1", feature)),

@@ -86,39 +86,50 @@ def attention(
     lora_prefix: str | None = None,
     lora_rank: int = 0,
     lora_alpha: float = 0.0,
+    readout: bool = False,
 ) -> Tensor:
-    """Scaled dot-product multi-head self-attention over [..., S, D]."""
+    """Scaled dot-product multi-head self-attention over [..., S, D].
+
+    With ``readout`` only token 0 attends: the output is [..., 1, D].
+    """
     d = x.shape[-1]
     if d % heads:
         raise ValueError("model width must be divisible by head count")
 
-    def proj(name):
+    def proj(name, inputs):
         lp = f"{lora_prefix}.{name}" if lora_prefix is not None else None
-        return lora_linear(leaves, f"{prefix}.{name}", lp, x, lora_rank, lora_alpha)
+        return lora_linear(leaves, f"{prefix}.{name}", lp, inputs, lora_rank, lora_alpha)
 
-    q, k, v = proj("q"), proj("k"), proj("v")
+    q = proj("q", x[..., :1, :] if readout else x)
+    k, v = proj("k", x), proj("v", x)
     mask = None
     if causal:
         s = x.shape[-2]
-        mask = np.triu(np.full((s, s), MASK_NEG, dtype=x.data.dtype), k=1)
+        mask = np.triu(np.full((s, s), MASK_NEG, dtype=x.data.dtype), k=1)[: q.shape[-2]]
     return linear(leaves, f"{prefix}.o", ad.attention(q, k, v, heads, mask))
 
 
-def _layer(leaves, prefix, x, heads, causal, lora_prefix, lora_rank, lora_alpha):
-    """Pre-norm residual Transformer layer shared by the encoder and decoder."""
+def _layer(leaves, prefix, x, heads, causal, lora_prefix, lora_rank, lora_alpha, readout=False):
+    """Pre-norm residual Transformer layer shared by the encoder and decoder.
+
+    With ``readout`` LN1, K and V run over all tokens and everything else
+    over token 0 only; the output is that token's state, [..., 1, D].
+    """
     h = ad.layer_norm(x, leaves[f"{prefix}.ln1.g"], leaves[f"{prefix}.ln1.b"])
+    if readout:
+        x = x[..., :1, :]
     x = x + attention(
         leaves, f"{prefix}.attn", h, heads, causal=causal,
-        lora_prefix=lora_prefix, lora_rank=lora_rank, lora_alpha=lora_alpha,
+        lora_prefix=lora_prefix, lora_rank=lora_rank, lora_alpha=lora_alpha, readout=readout,
     )
     h = ad.layer_norm(x, leaves[f"{prefix}.ln2.g"], leaves[f"{prefix}.ln2.b"])
     hidden = ad.gelu(linear(leaves, f"{prefix}.mlp.fc1", h))
     return x + linear(leaves, f"{prefix}.mlp.fc2", hidden)
 
 
-def encoder_layer(leaves, prefix: str, x: Tensor, heads: int) -> Tensor:
-    """Pre-norm residual Transformer encoder layer."""
-    return _layer(leaves, prefix, x, heads, False, None, 0, 0.0)
+def encoder_layer(leaves, prefix: str, x: Tensor, heads: int, readout: bool = False) -> Tensor:
+    """Pre-norm residual Transformer encoder layer (see ``_layer`` for ``readout``)."""
+    return _layer(leaves, prefix, x, heads, False, None, 0, 0.0, readout)
 
 
 def decoder_layer(

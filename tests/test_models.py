@@ -13,6 +13,7 @@ from leocsi.models import (
     ModelConfig,
     SIGMA_FLOOR,
     desk_model_config,
+    encode_csi,
     preprocess,
     temporal_encoding,
     to_complex,
@@ -161,6 +162,20 @@ def test_save_load_round_trip(tmp_path):
     loaded = Model.load(str(tmp_path / "m"))
     assert loaded.cfg == model.cfg
     assert np.array_equal(loaded.predict_batch(past), before)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_encode_csi_reads_token_zero_of_the_full_encoder(layers, monkeypatch):
+    cfg = replace(TINY, encoder_layers=layers)
+    model = Model(cfg, seed=3)
+    images = Tensor(preprocess(_random_past(cfg, seed=9))[0])
+    emb = encode_csi(model.params.leaves(), cfg, images).data
+    full_layer = nn.encoder_layer
+    monkeypatch.setattr(nn, "encoder_layer",
+                        lambda leaves, prefix, x, heads, readout=False:
+                        full_layer(leaves, prefix, x, heads))
+    ref = encode_csi(model.params.leaves(), cfg, images).data
+    np.testing.assert_allclose(emb, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_autoregressive_requirements():

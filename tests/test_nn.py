@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from leocsi import autodiff as ad
 from leocsi import nn
 from leocsi.autodiff import ParamStore, Tensor
 
@@ -94,12 +95,34 @@ def test_encoder_layer_is_bidirectional():
     assert not np.allclose(y1[0, 0], y2[0, 0], atol=1e-9)
 
 
+def test_readout_layer_is_the_full_layers_token_zero():
+    # Forward value and every gradient, input included, in float64.
+    d, heads = 8, 2
+    store = _store_with(nn.init_encoder_layer, "l", d)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 3, 5, d))
+    weights = rng.standard_normal((2, 3, d))
+    results = []
+    for readout in (False, True):
+        leaves = store.leaves()
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = nn.encoder_layer(leaves, "l", xt, heads, readout=readout)[:, :, 0, :]
+        ad.tsum(out * weights).backward()
+        results.append((out.data, xt.grad, [leaves[n].grad for n in store.names()]))
+    (full, full_dx, full_grads), (token, dx, grads) = results
+    np.testing.assert_allclose(token, full, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dx, full_dx, rtol=1e-12, atol=1e-12)
+    for name, g, ref in zip(store.names(), grads, full_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 def test_layer_shapes_preserved():
     d, heads = 8, 4
     store = _store_with(nn.init_encoder_layer, "l", d)
     leaves = store.leaves()
     x = Tensor(np.random.default_rng(7).standard_normal((2, 3, d)))
     assert nn.encoder_layer(leaves, "l", x, heads).shape == (2, 3, d)
+    assert nn.encoder_layer(leaves, "l", x, heads, readout=True).shape == (2, 1, d)
     assert nn.decoder_layer(leaves, "l", x, heads).shape == (2, 3, d)
 
 
