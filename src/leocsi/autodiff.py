@@ -591,8 +591,8 @@ def grad_check(f, store: ParamStore, eps: float = 1e-5, max_entries: int = 200,
     ``f`` maps a dict of leaf tensors to a scalar Tensor.  Up to
     ``max_entries`` randomly chosen entries per parameter are probed.
     Entries where both gradients are below ``atol`` count as exact: a truly
-    zero analytic gradient (e.g. a softmax shift direction) cannot beat the
-    ~1e-9 cancellation noise of the difference quotient in relative terms.
+    zero analytic gradient cannot beat the ~1e-9 cancellation noise of the
+    difference quotient in relative terms.
     """
     leaves = store.leaves()
     out = f(leaves)

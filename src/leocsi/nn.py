@@ -17,9 +17,10 @@ MASK_NEG = -1e30
 
 # -- initialization -----------------------------------------------------
 
-def _init_linear(store: ParamStore, rng, prefix: str, d_out: int, d_in: int):
+def _init_linear(store: ParamStore, rng, prefix: str, d_out: int, d_in: int, bias: bool = True):
     store.add(f"{prefix}.w", rng.standard_normal((d_out, d_in)) / np.sqrt(d_in))
-    store.add(f"{prefix}.b", np.zeros(d_out), decay=False)
+    if bias:
+        store.add(f"{prefix}.b", np.zeros(d_out), decay=False)
 
 
 def _init_layer_norm(store: ParamStore, prefix: str, d: int):
@@ -29,8 +30,9 @@ def _init_layer_norm(store: ParamStore, prefix: str, d: int):
 
 def init_encoder_layer(store: ParamStore, rng, prefix: str, d: int):
     _init_layer_norm(store, f"{prefix}.ln1", d)
+    # Softmax is shift-invariant, so a key bias has zero gradient: K has none.
     for name in ("q", "k", "v", "o"):
-        _init_linear(store, rng, f"{prefix}.attn.{name}", d, d)
+        _init_linear(store, rng, f"{prefix}.attn.{name}", d, d, bias=name != "k")
     _init_layer_norm(store, f"{prefix}.ln2", d)
     _init_linear(store, rng, f"{prefix}.mlp.fc1", 4 * d, d)
     _init_linear(store, rng, f"{prefix}.mlp.fc2", d, 4 * d)
@@ -44,15 +46,16 @@ def init_lora(store: ParamStore, rng, prefix: str, d: int, rank: int):
 
 # -- forward blocks -----------------------------------------------------
 
-def linear(leaves, prefix: str, x: Tensor) -> Tensor:
-    return ad.linear(x, leaves[f"{prefix}.w"], leaves[f"{prefix}.b"])
+def linear(leaves, prefix: str, x: Tensor, bias: bool = True) -> Tensor:
+    return ad.linear(x, leaves[f"{prefix}.w"], leaves[f"{prefix}.b"] if bias else None)
 
 
 def lora_linear(
-    leaves, prefix: str, lora_prefix: str | None, x: Tensor, rank: int, alpha: float
+    leaves, prefix: str, lora_prefix: str | None, x: Tensor, rank: int, alpha: float,
+    bias: bool = True,
 ) -> Tensor:
     """Base projection plus (alpha/rank) * x A^T B^T when rank > 0."""
-    y = linear(leaves, prefix, x)
+    y = linear(leaves, prefix, x, bias)
     if rank > 0 and lora_prefix is not None:
         a = leaves[f"{lora_prefix}.a"]  # [r, d_in]
         b = leaves[f"{lora_prefix}.b"]  # [d_out, r]
@@ -98,7 +101,8 @@ def attention(
 
     def proj(name, inputs):
         lp = f"{lora_prefix}.{name}" if lora_prefix is not None else None
-        return lora_linear(leaves, f"{prefix}.{name}", lp, inputs, lora_rank, lora_alpha)
+        return lora_linear(leaves, f"{prefix}.{name}", lp, inputs, lora_rank, lora_alpha,
+                           bias=name != "k")
 
     q = proj("q", x[..., :1, :] if readout else x)
     k, v = proj("k", x), proj("v", x)

@@ -120,6 +120,15 @@ def test_attention_of_constant_values_returns_them():
     np.testing.assert_allclose(out, v, rtol=0, atol=1e-12)
 
 
+def test_attention_ignores_a_key_bias():
+    # A bias on K adds q·b to a whole score row, which softmax cancels.
+    rng = np.random.default_rng(1)
+    q, k, v = (Tensor(rng.standard_normal((2, 5, 6))) for _ in range(3))
+    shifted = Tensor(k.data + rng.standard_normal(6))
+    np.testing.assert_allclose(ad.attention(q, shifted, v, 3).data,
+                               ad.attention(q, k, v, 3).data, rtol=1e-12, atol=1e-12)
+
+
 def test_layer_norm():
     check(
         lambda a, g, b: ad.tsum(ad.layer_norm(a, g, b) * np.arange(4.0)),

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from leocsi import autodiff as ad
 from leocsi import nn
 from leocsi.autodiff import Tensor
 from leocsi.models import (
@@ -176,6 +177,25 @@ def test_encode_csi_reads_token_zero_of_the_full_encoder(layers, monkeypatch):
                         full_layer(leaves, prefix, x, heads))
     ref = encode_csi(model.params.leaves(), cfg, images).data
     np.testing.assert_allclose(emb, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_checkpoint_with_a_key_bias_loads_and_predicts(tmp_path):
+    # Checkpoints from before K lost its bias carry "*.attn.k.b". Softmax is
+    # shift-invariant, so that bias never changed a prediction; it is ignored.
+    model = Model(TINY, seed=4)
+    path = str(tmp_path / "m")
+    model.save(path)
+    past = _random_past(TINY, seed=5)
+    expected = model.predict_batch(past)
+    store = ad.load_params(path)
+    rng = np.random.default_rng(6)
+    for name in model.params.names():
+        if name.endswith(".attn.k.w"):
+            store.add(name[:-1] + "b", rng.standard_normal(store[name].data.shape[0]), decay=False)
+    ad.save_params(path, store)
+    loaded = Model.load(path)
+    assert sum(n.endswith(".attn.k.b") for n in loaded.params.names()) == 2
+    assert np.array_equal(loaded.predict_batch(past), expected)
 
 
 def test_autoregressive_requirements():
