@@ -183,8 +183,8 @@ def cmd_generate(args, doc):
                                  t_p=model_cfg.t_p, t_f=model_cfg.t_f, seed=args.seed)
             for split, count in (("train", args.train_count), ("test", args.test_count))
         }
-    except FloatingPointError as exc:  # the configuration is generate's only input
-        raise ConfigError(str(exc)) from exc
+    except (FloatingPointError, MemoryError) as exc:  # the configuration is generate's only input
+        raise ConfigError(str(exc) or type(exc).__name__) from exc
     run_dir = make_run_dir(args.out, args.seed)
     for split, (meta, data) in splits.items():
         save_dataset(os.path.join(run_dir, split), meta, data)

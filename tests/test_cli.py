@@ -235,6 +235,20 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert not os.path.exists(out), flags
 
 
+def test_generate_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # An oversized scenario, e.g. scenario.num_devices=1000000000000, fails
+    # to allocate its split; the configuration is generate's only input.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("leocsi.cli.build_dataset", no_memory)
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "generate", "--train-count", "1",
+               "--test-count", "1") == EXIT_CONFIG
+    assert "Unable to allocate" in _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
+
+
 _CONFIG_KEYS = [
     f"{section}.{field.name}"
     for section, cls in (("scenario", ScenarioConfig), ("model", ModelConfig), ("train", TrainConfig))
