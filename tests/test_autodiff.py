@@ -27,7 +27,7 @@ def fd_grad(f, xs, eps=1e-6):
     return grads
 
 
-def check(build, *shapes, seed=0, tol=1e-6):
+def check(build, *shapes, seed=0, tol=1e-6, eps=1e-6):
     """Compare analytic and numeric gradients of a scalar-valued graph."""
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(s) for s in shapes]
@@ -39,7 +39,7 @@ def check(build, *shapes, seed=0, tol=1e-6):
         consts = [Tensor(a.copy(), requires_grad=False) for a in arrays]
         return float(build(*consts).data)
 
-    for t, num in zip(tensors, fd_grad(f, xs)):
+    for t, num in zip(tensors, fd_grad(f, xs, eps)):
         denom = np.maximum(np.abs(t.grad) + np.abs(num), 1e-8)
         assert np.max(np.abs(t.grad - num) / denom) < tol
 
@@ -198,7 +198,10 @@ def test_leaves_in_a_dtype_copy_the_float64_masters():
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_mul_grad_property(seed):
-    check(lambda a, b: ad.tsum(a * b), (2, 3), (2, 3), seed=seed)
+    # sum(a * b) is linear in each entry, so a central difference is exact at
+    # any step; a wide step keeps the roundoff of the sum (~1e-16 / eps) below
+    # the relative bound even where an entry of the gradient is ~1e-4.
+    check(lambda a, b: ad.tsum(a * b), (2, 3), (2, 3), seed=seed, eps=1e-3)
 
 
 def test_adamw_decoupled_decay():
