@@ -112,12 +112,26 @@ def _lift(x, like: Tensor) -> Tensor:
     NumPy would promote a float32 array against a 0-d float64 array, so a
     scalar lifted to float64 would upcast a float32 graph.
     """
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
+    return x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=like.data.dtype))
 
 
 def constant(x) -> Tensor:
-    """A graph leaf that never receives gradients."""
-    return Tensor(np.asarray(x))
+    """A graph leaf that never receives gradients.
+
+    A float ndarray is wrapped as it is, without ``Tensor.__init__``'s
+    conversion and parent scan: inference builds every tensor this way.
+    Anything else, e.g. the numpy scalar of a full reduction, goes through
+    ``Tensor`` to become a float ndarray.
+    """
+    if type(x) is not np.ndarray or x.dtype.kind != "f":
+        return Tensor(x)
+    t = Tensor.__new__(Tensor)
+    t.data = x
+    t.grad = None
+    t._parents = ()
+    t._backward = None
+    t.requires_grad = False
+    return t
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -132,9 +146,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(value, parents, backward):
-    if not any(p.requires_grad for p in parents):
-        return Tensor(value)
-    return Tensor(value, parents=parents, backward=backward)
+    """An op result: a graph node if any parent requires grad, else a constant."""
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(value, parents=parents, backward=backward, requires_grad=True)
+    return constant(value)
 
 
 # -- elementwise --------------------------------------------------------
@@ -363,17 +379,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale by ``gain`` and shift by ``bias``."""
-    centered = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    """Normalize over the last axis, then scale by ``gain`` and shift by ``bias``.
+
+    A mean over the last axis is written ``sum / d``: that is what
+    ``ndarray.mean`` computes, without its Python-level wrapper.
+    """
+    d = a.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
     xhat = centered * inv_std
 
     def backward(g):
         if a.requires_grad:
             gx = g * gain.data
             a._accumulate(inv_std * (
-                gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+                gx - gx.sum(axis=-1, keepdims=True) / d
+                - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
             ))
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * xhat, gain.shape))

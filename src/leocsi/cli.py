@@ -3,9 +3,9 @@
 Configs are JSON documents with sections ``scenario`` / ``model`` / ``train``
 / ``sweep``; unknown keys are rejected.  Every run writes its artifacts into
 a fresh directory named by timestamp and seed, together with a
-``manifest.json`` recording the resolved configuration and content hashes
-of its inputs.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+``manifest.json`` recording the package, Python and numpy versions, the
+resolved configuration and content hashes of its inputs.  Exit codes:
+0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from .config import ScenarioConfig, desk_scenario
 from .dataset import (
@@ -164,6 +165,8 @@ def make_run_dir(out_root: str, seed: int) -> str:
 def write_manifest(run_dir: str, doc: dict, inputs: list[str]):
     manifest = {
         "schema_version": SCHEMA_VERSION,
+        "versions": {"leocsi": __version__, "python": sys.version.split()[0],
+                     "numpy": np.__version__},
         "resolved_config": doc,
         "input_hashes": _hash_inputs(inputs),
     }

@@ -80,35 +80,59 @@ class NormStats:
     sigma: np.ndarray  # [B]
 
 
-def init_model_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-
-    # CSI encoder
+def model_layout(cfg: ModelConfig) -> list:
+    """Parameter specs (see ``nn.init_params``) of a model, in initialization order."""
     patch_dim = 2 * cfg.patch * cfg.patch
-    nn._init_linear(store, rng, "encoder.patch", cfg.d_enc, patch_dim)
-    store.add("encoder.cls", 0.02 * rng.standard_normal((1, cfg.d_enc)))
-    store.add("encoder.pos", 0.02 * rng.standard_normal((cfg.num_patches + 1, cfg.d_enc)))
+    # CSI encoder
+    specs = nn.linear_specs("encoder.patch", cfg.d_enc, patch_dim)
+    specs += [("encoder.cls", (1, cfg.d_enc), "small", True),
+              ("encoder.pos", (cfg.num_patches + 1, cfg.d_enc), "small", True)]
     for i in range(cfg.encoder_layers):
-        nn.init_encoder_layer(store, rng, f"encoder.l{i}", cfg.d_enc)
-    nn._init_layer_norm(store, "encoder.lnf", cfg.d_enc)
-    nn._init_linear(store, rng, "encoder.proj.fc1", cfg.d_enc, cfg.d_enc)
-    nn._init_linear(store, rng, "encoder.proj.fc2", cfg.d_llm, cfg.d_enc)
+        specs += nn.encoder_layer_specs(f"encoder.l{i}", cfg.d_enc)
+    specs += nn.layer_norm_specs("encoder.lnf", cfg.d_enc)
+    specs += nn.linear_specs("encoder.proj.fc1", cfg.d_enc, cfg.d_enc)
+    specs += nn.linear_specs("encoder.proj.fc2", cfg.d_llm, cfg.d_enc)
 
     # Backbone (causal decoder stack)
     for i in range(cfg.backbone_layers):
-        nn.init_encoder_layer(store, rng, f"backbone.l{i}", cfg.d_llm)
+        specs += nn.encoder_layer_specs(f"backbone.l{i}", cfg.d_llm)
         if cfg.lora_rank > 0:
             for name in ("q", "k", "v"):
-                nn.init_lora(store, rng, f"lora.l{i}.{name}", cfg.d_llm, cfg.lora_rank)
-    nn._init_layer_norm(store, "backbone.lnf", cfg.d_llm)
+                specs += nn.lora_specs(f"lora.l{i}.{name}", cfg.d_llm, cfg.lora_rank)
+    specs += nn.layer_norm_specs("backbone.lnf", cfg.d_llm)
 
     # Task head
     hidden = 4 * cfg.d_llm
     out_dim = cfg.t_f * 2 * cfg.num_devices * cfg.num_antennas
-    nn._init_linear(store, rng, "decoder.fc1", hidden, cfg.t_p * cfg.d_llm)
-    nn._init_linear(store, rng, "decoder.fc2", out_dim, hidden)
+    specs += nn.linear_specs("decoder.fc1", hidden, cfg.t_p * cfg.d_llm)
+    return specs + nn.linear_specs("decoder.fc2", out_dim, hidden)
+
+
+def init_model_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
+    store = ParamStore()
+    nn.init_params(store, np.random.default_rng(seed), model_layout(cfg))
     return store
+
+
+def check_layout(store: ParamStore, cfg: ModelConfig) -> ParamStore:
+    """``store`` restricted to the layout of ``cfg``, in its own order.
+
+    Raises ``ValueError`` if a parameter of the layout is missing or has
+    another shape.  Parameters the layout does not name, such as the key
+    bias of older checkpoints, are dropped.
+    """
+    shapes = {name: shape for name, shape, _, _ in model_layout(cfg)}
+    for name, shape in shapes.items():
+        if name not in store:
+            raise ValueError(f"checkpoint lacks parameter {name}")
+        if store[name].data.shape != shape:
+            raise ValueError(f"parameter {name} has shape {store[name].data.shape}, "
+                             f"the model needs {shape}")
+    kept = ParamStore()
+    for name, p in store.items():
+        if name in shapes:
+            kept.add(name, p.data, p.trainable, p.decay)
+    return kept
 
 
 # -- pipeline stages ----------------------------------------------------
@@ -244,7 +268,7 @@ class Model:
         finite, e.g. for a finite history too large to standardize.
         """
         # Constant leaves: no op records parents or a backward closure.
-        leaves = {name: Tensor(p.data) for name, p in self.params.items()}
+        leaves = {name: ad.constant(p.data) for name, p in self.params.items()}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x_norm, stats = preprocess(past)
             real = self.forward_graph(leaves, x_norm, stats, origin_slot).data
@@ -295,4 +319,4 @@ class Model:
     def load(cls, path: str) -> "Model":
         with open(os.path.join(path, "model.json"), "r", encoding="utf-8") as fh:
             cfg = ModelConfig(**json.load(fh))
-        return cls(cfg, params=ad.load_params(path))
+        return cls(cfg, params=check_layout(ad.load_params(path), cfg))

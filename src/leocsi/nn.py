@@ -7,6 +7,8 @@ produced by ``ParamStore.leaves()``; parameter naming is hierarchical
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -16,32 +18,47 @@ MASK_NEG = -1e30
 
 
 # -- initialization -----------------------------------------------------
+# A parameter spec is (name, shape, init, decay).  ``init`` is "fan_in" (a
+# standard normal draw divided by the square root of the fan-in), "small"
+# (0.02 times a standard normal draw), "zeros" or "ones".  Specs alone give
+# a model's layout without drawing any weight; ``init_params`` draws them.
 
-def _init_linear(store: ParamStore, rng, prefix: str, d_out: int, d_in: int, bias: bool = True):
-    store.add(f"{prefix}.w", rng.standard_normal((d_out, d_in)) / np.sqrt(d_in))
+def linear_specs(prefix: str, d_out: int, d_in: int, bias: bool = True) -> list:
+    specs = [(f"{prefix}.w", (d_out, d_in), "fan_in", True)]
     if bias:
-        store.add(f"{prefix}.b", np.zeros(d_out), decay=False)
+        specs.append((f"{prefix}.b", (d_out,), "zeros", False))
+    return specs
 
 
-def _init_layer_norm(store: ParamStore, prefix: str, d: int):
-    store.add(f"{prefix}.g", np.ones(d), decay=False)
-    store.add(f"{prefix}.b", np.zeros(d), decay=False)
+def layer_norm_specs(prefix: str, d: int) -> list:
+    return [(f"{prefix}.g", (d,), "ones", False), (f"{prefix}.b", (d,), "zeros", False)]
 
 
-def init_encoder_layer(store: ParamStore, rng, prefix: str, d: int):
-    _init_layer_norm(store, f"{prefix}.ln1", d)
+def encoder_layer_specs(prefix: str, d: int) -> list:
+    specs = layer_norm_specs(f"{prefix}.ln1", d)
     # Softmax is shift-invariant, so a key bias has zero gradient: K has none.
     for name in ("q", "k", "v", "o"):
-        _init_linear(store, rng, f"{prefix}.attn.{name}", d, d, bias=name != "k")
-    _init_layer_norm(store, f"{prefix}.ln2", d)
-    _init_linear(store, rng, f"{prefix}.mlp.fc1", 4 * d, d)
-    _init_linear(store, rng, f"{prefix}.mlp.fc2", d, 4 * d)
+        specs += linear_specs(f"{prefix}.attn.{name}", d, d, bias=name != "k")
+    specs += layer_norm_specs(f"{prefix}.ln2", d)
+    specs += linear_specs(f"{prefix}.mlp.fc1", 4 * d, d)
+    return specs + linear_specs(f"{prefix}.mlp.fc2", d, 4 * d)
 
 
-def init_lora(store: ParamStore, rng, prefix: str, d: int, rank: int):
-    """A is Gaussian, B all zeros, so the adapter delta starts at zero."""
-    store.add(f"{prefix}.a", rng.standard_normal((rank, d)) / np.sqrt(d))
-    store.add(f"{prefix}.b", np.zeros((d, rank)))
+def lora_specs(prefix: str, d: int, rank: int) -> list:
+    """A is drawn, B all zeros, so the adapter delta starts at zero."""
+    return [(f"{prefix}.a", (rank, d), "fan_in", True), (f"{prefix}.b", (d, rank), "zeros", True)]
+
+
+def init_params(store: ParamStore, rng, specs) -> None:
+    """Add the parameters of ``specs`` to ``store``, drawing from ``rng`` in order."""
+    for name, shape, init, decay in specs:
+        if init == "fan_in":
+            data = rng.standard_normal(shape) / np.sqrt(shape[1])
+        elif init == "small":
+            data = 0.02 * rng.standard_normal(shape)
+        else:
+            data = np.full(shape, 1.0 if init == "ones" else 0.0)
+        store.add(name, data, decay=decay)
 
 
 # -- forward blocks -----------------------------------------------------
@@ -80,6 +97,14 @@ def patchify(x: Tensor, patch: int, leaves, prefix: str) -> Tensor:
     return linear(leaves, prefix, x)
 
 
+@functools.cache
+def causal_mask(s: int, dtype) -> np.ndarray:
+    """[s, s] additive mask, MASK_NEG above the diagonal; read-only, one per (s, dtype)."""
+    mask = np.triu(np.full((s, s), MASK_NEG, dtype=dtype), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def attention(
     leaves,
     prefix: str,
@@ -106,10 +131,7 @@ def attention(
 
     q = proj("q", x[..., :1, :] if readout else x)
     k, v = proj("k", x), proj("v", x)
-    mask = None
-    if causal:
-        s = x.shape[-2]
-        mask = np.triu(np.full((s, s), MASK_NEG, dtype=x.data.dtype), k=1)[: q.shape[-2]]
+    mask = causal_mask(x.shape[-2], x.data.dtype)[: q.shape[-2]] if causal else None
     return linear(leaves, f"{prefix}.o", ad.attention(q, k, v, heads, mask))
 
 
@@ -149,6 +171,13 @@ def decoder_layer(
     return _layer(leaves, prefix, x, heads, True, lora_prefix, lora_rank, lora_alpha)
 
 
+@functools.cache
+def _pe_denominators(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """10000^(i/d) at even 1-based i (sin) and 10000^((i-1)/d) at odd i (cos)."""
+    i = np.arange(1, d + 1, dtype=float)
+    return 10000.0 ** (i[1::2] / d), 10000.0 ** ((i[::2] - 1) / d)
+
+
 def sinusoidal_pe(t, d: int) -> np.ndarray:
     """Temporal positional encoding, cos at odd 1-based components.
 
@@ -157,8 +186,9 @@ def sinusoidal_pe(t, d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    i = np.arange(1, d + 1, dtype=float)
+    sin_den, cos_den = _pe_denominators(d)
     t = np.asarray(t, dtype=float)[..., None]
-    even = np.sin(t / 10000.0 ** (i / d))
-    odd = np.cos(t / 10000.0 ** ((i - 1) / d))
-    return np.where(i % 2 == 0, even, odd)
+    out = np.empty(t.shape[:-1] + (d,))
+    out[..., 1::2] = np.sin(t / sin_den)
+    out[..., ::2] = np.cos(t / cos_den)
+    return out

@@ -65,17 +65,16 @@ class TestGradientSuite:
         # Individual neural blocks, tiny shapes, float64.
         store = ParamStore()
         r = np.random.default_rng(1)
-        nn._init_linear(store, r, "fc", 4, 6)
-        nn.init_encoder_layer(store, r, "enc", 8)
-        nn.init_lora(store, r, "ada", 8, 2)
+        nn.init_params(store, r, nn.linear_specs("fc", 4, 6) + nn.encoder_layer_specs("enc", 8)
+                       + nn.lora_specs("ada", 8, 2))
         for name in ("q", "k", "v"):
-            nn.init_lora(store, r, f"ad2.{name}", 8, 2)
+            nn.init_params(store, r, nn.lora_specs(f"ad2.{name}", 8, 2))
         # Gradients through the LoRA A matrix are zero while B is zero, so
         # give the adapters nonzero B entries to exercise both factors.
         store["ada.b"].data[...] = r.standard_normal((8, 2)) * 0.1
         for name in ("q", "k", "v"):
             store[f"ad2.{name}.b"].data[...] = r.standard_normal((8, 2)) * 0.1
-        nn._init_linear(store, r, "patch", 5, 8)
+        nn.init_params(store, r, nn.linear_specs("patch", 5, 8))
         x_lin = rng.standard_normal((3, 6))
         x_seq = rng.standard_normal((1, 4, 8))
         x_img = rng.standard_normal((1, 2, 2, 4, 4))

@@ -181,7 +181,7 @@ def test_encode_csi_reads_token_zero_of_the_full_encoder(layers, monkeypatch):
 
 def test_checkpoint_with_a_key_bias_loads_and_predicts(tmp_path):
     # Checkpoints from before K lost its bias carry "*.attn.k.b". Softmax is
-    # shift-invariant, so that bias never changed a prediction; it is ignored.
+    # shift-invariant, so that bias never changed a prediction; load drops it.
     model = Model(TINY, seed=4)
     path = str(tmp_path / "m")
     model.save(path)
@@ -194,7 +194,8 @@ def test_checkpoint_with_a_key_bias_loads_and_predicts(tmp_path):
             store.add(name[:-1] + "b", rng.standard_normal(store[name].data.shape[0]), decay=False)
     ad.save_params(path, store)
     loaded = Model.load(path)
-    assert sum(n.endswith(".attn.k.b") for n in loaded.params.names()) == 2
+    assert not any(n.endswith(".attn.k.b") for n in loaded.params.names())
+    assert loaded.params.names() == model.params.names()
     assert np.array_equal(loaded.predict_batch(past), expected)
 
 

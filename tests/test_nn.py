@@ -7,15 +7,14 @@ from leocsi import nn
 from leocsi.autodiff import ParamStore, Tensor
 
 
-def _store_with(fn, *args, seed=0):
+def _store_with(specs, *args, seed=0):
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    fn(store, rng, *args)
+    nn.init_params(store, np.random.default_rng(seed), specs(*args))
     return store
 
 
 def test_linear_matches_numpy():
-    store = _store_with(nn._init_linear, "fc", 3, 5)
+    store = _store_with(nn.linear_specs, "fc", 3, 5)
     leaves = store.leaves()
     x = np.random.default_rng(1).standard_normal((4, 5))
     out = nn.linear(leaves, "fc", Tensor(x)).data
@@ -25,9 +24,9 @@ def test_linear_matches_numpy():
 
 def test_lora_identity_at_init():
     d, r = 8, 3
-    store = _store_with(nn._init_linear, "fc", d, d)
+    store = _store_with(nn.linear_specs, "fc", d, d)
     rng = np.random.default_rng(2)
-    nn.init_lora(store, rng, "ada", d, r)
+    nn.init_params(store, rng, nn.lora_specs("ada", d, r))
     leaves = store.leaves()
     assert np.array_equal(leaves["ada.b"].data, np.zeros((d, r)))
     x = Tensor(rng.standard_normal((5, d)))
@@ -38,9 +37,9 @@ def test_lora_identity_at_init():
 
 def test_lora_nonzero_after_b_update():
     d, r = 6, 2
-    store = _store_with(nn._init_linear, "fc", d, d)
+    store = _store_with(nn.linear_specs, "fc", d, d)
     rng = np.random.default_rng(3)
-    nn.init_lora(store, rng, "ada", d, r)
+    nn.init_params(store, rng, nn.lora_specs("ada", d, r))
     store["ada.b"].data[...] = rng.standard_normal((d, r))
     leaves = store.leaves()
     x = Tensor(rng.standard_normal((5, d)))
@@ -54,7 +53,7 @@ def test_lora_nonzero_after_b_update():
 
 def test_patchify_blocks():
     b, t, c, k, n, p = 1, 1, 2, 4, 4, 2
-    store = _store_with(nn._init_linear, "patch", 6, c * p * p)
+    store = _store_with(nn.linear_specs, "patch", 6, c * p * p)
     leaves = store.leaves()
     x = np.random.default_rng(4).standard_normal((b, t, c, k, n))
     tokens = nn.patchify(Tensor(x), p, leaves, "patch").data
@@ -67,7 +66,7 @@ def test_patchify_blocks():
 
 def test_attention_causal_mask():
     d, heads, t = 8, 2, 5
-    store = _store_with(nn.init_encoder_layer, "l", d)
+    store = _store_with(nn.encoder_layer_specs, "l", d)
     leaves = store.leaves()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, t, d))
@@ -83,7 +82,7 @@ def test_attention_causal_mask():
 
 def test_encoder_layer_is_bidirectional():
     d, heads, t = 8, 2, 5
-    store = _store_with(nn.init_encoder_layer, "l", d)
+    store = _store_with(nn.encoder_layer_specs, "l", d)
     leaves = store.leaves()
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, t, d))
@@ -98,7 +97,7 @@ def test_encoder_layer_is_bidirectional():
 def test_readout_layer_is_the_full_layers_token_zero():
     # Forward value and every gradient, input included, in float64.
     d, heads = 8, 2
-    store = _store_with(nn.init_encoder_layer, "l", d)
+    store = _store_with(nn.encoder_layer_specs, "l", d)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 3, 5, d))
     weights = rng.standard_normal((2, 3, d))
@@ -118,7 +117,7 @@ def test_readout_layer_is_the_full_layers_token_zero():
 
 def test_layer_shapes_preserved():
     d, heads = 8, 4
-    store = _store_with(nn.init_encoder_layer, "l", d)
+    store = _store_with(nn.encoder_layer_specs, "l", d)
     leaves = store.leaves()
     x = Tensor(np.random.default_rng(7).standard_normal((2, 3, d)))
     assert nn.encoder_layer(leaves, "l", x, heads).shape == (2, 3, d)
