@@ -99,8 +99,30 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
     return doc
 
 
+DEFAULT_SNRS_DB = [0, 5, 10, 15, 20, 25, 30]
+MAX_ABS_SNR_DB = 300.0  # far beyond any channel estimate; keeps 10^(snr/10) finite
+
+
+def _sweep_snrs(section: dict) -> list:
+    """The SNR points (dB) of a ``sweep`` section, checked."""
+    unknown = set(section) - {"snrs_db"}
+    if unknown:
+        raise ConfigError(f"unknown keys in 'sweep' section: {sorted(unknown)}")
+    snrs = section.get("snrs_db", DEFAULT_SNRS_DB)
+    if not (isinstance(snrs, list) and snrs and all(
+            type(v) in (int, float) and (abs(v) <= MAX_ABS_SNR_DB or v == float("inf"))
+            for v in snrs)):
+        raise ConfigError(f"sweep.snrs_db must be a non-empty list of numbers in "
+                          f"[-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB, or Infinity (no noise)")
+    return snrs
+
+
 def resolve(doc: dict, desk: bool):
-    """Scenario, model and train configs: the full or desk preset plus ``doc``."""
+    """Scenario, model and train configs: the full or desk preset plus ``doc``.
+
+    The ``sweep`` section is checked too; ``cmd_sweep`` reads it.
+    """
+    _sweep_snrs(doc["sweep"])
     if desk:
         scenario, model = desk_scenario(), desk_model_config()
     else:
@@ -314,7 +336,7 @@ def cmd_sweep(args, doc):
     if kind == "velocity":
         result = velocity_sweep(predictors, data, seed=args.seed)
     elif kind == "snr":
-        snrs = doc["sweep"].get("snrs_db", [0, 5, 10, 15, 20, 25, 30])
+        snrs = _sweep_snrs(doc["sweep"])
         clean = _clean_test_split(meta, data)
         result = snr_sweep(predictors, clean, snrs, seed=args.seed)
     else:

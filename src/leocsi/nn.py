@@ -175,7 +175,10 @@ def decoder_layer(
 def _pe_denominators(d: int) -> tuple[np.ndarray, np.ndarray]:
     """10000^(i/d) at even 1-based i (sin) and 10000^((i-1)/d) at odd i (cos)."""
     i = np.arange(1, d + 1, dtype=float)
-    return 10000.0 ** (i[1::2] / d), 10000.0 ** ((i[::2] - 1) / d)
+    dens = 10000.0 ** (i[1::2] / d), 10000.0 ** ((i[::2] - 1) / d)
+    for den in dens:
+        den.flags.writeable = False  # shared by every caller
+    return dens
 
 
 def sinusoidal_pe(t, d: int) -> np.ndarray:

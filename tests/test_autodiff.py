@@ -370,3 +370,81 @@ def test_fused_op_matches_composite_oracle(fused, oracle, shapes):
     np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
     for g, ref in zip(grads, ref_grads):
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+
+def _layer_norm_with_mean(x, gain, bias, g, eps=1e-5):
+    """Value and input/gain/bias gradients of layer norm, written with ``mean``."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+    gx = g * gain
+    dx = inv_std * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 3, 32, 64])
+def test_layer_norm_equals_its_mean_form_bit_for_bit(d, dtype):
+    rng = np.random.default_rng(d)
+    x, gain, bias, g = (
+        (rng.standard_normal(s) * 3.0 + 0.5).astype(dtype)
+        for s in ((3, 5, d), (d,), (d,), (3, 5, d))
+    )
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias)]
+    out = ad.layer_norm(*leaves)
+    ad.tsum(out * ad.constant(g)).backward()
+    value, grads = _layer_norm_with_mean(x, gain, bias, g)
+    assert out.data.dtype == dtype and np.array_equal(out.data, value)
+    for t, ref in zip(leaves, grads):
+        assert t.grad.dtype == dtype and np.array_equal(t.grad, ref)
+
+
+_A, _B = np.arange(1.0, 7.0).reshape(2, 3), np.linspace(0.5, 2.0, 6).reshape(2, 3)
+_CONSTANT_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "power": lambda a, b: a ** 2,
+    "exp": lambda a, b: ad.exp(a),
+    "log": lambda a, b: ad.log(a),
+    "log2": lambda a, b: ad.log2(a),
+    "sqrt": lambda a, b: ad.sqrt(a),
+    "tanh": lambda a, b: ad.tanh(a),
+    "matmul": lambda a, b: a @ ad.transpose(b, (1, 0)),
+    "reshape": lambda a, b: ad.reshape(a, (3, 2)),
+    "getitem": lambda a, b: a[:, 1:],
+    "getitem-advanced": lambda a, b: a[np.array([1, 1, 0])],
+    "concat": lambda a, b: ad.concat([a, b], axis=1),
+    "tsum-axis": lambda a, b: ad.tsum(a, axis=1),
+    "tsum-full": lambda a, b: ad.tsum(a),
+    "tmean-full": lambda a, b: ad.tmean(a),
+    "broadcast_to": lambda a, b: ad.broadcast_to(a, (4, 2, 3)),
+    "cast": lambda a, b: ad.cast(a, np.float32),
+    "linear": lambda a, b: ad.linear(a, b, ad.tsum(b, axis=1)),
+    "layer_norm": lambda a, b: ad.layer_norm(a, b[0], b[1]),
+    "gelu": lambda a, b: ad.gelu(a),
+    "attention": lambda a, b: ad.attention(a, b, a, 1, np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("op", list(_CONSTANT_OPS), ids=list(_CONSTANT_OPS))
+def test_op_of_constants_is_a_constant(op):
+    # A result no gradient can reach records no graph, and still holds a
+    # float ndarray (a full reduction gives a numpy scalar, converted).
+    a, b = ad.constant(_A.copy()), ad.constant(_B.copy())
+    out = _CONSTANT_OPS[op](a, b)
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert type(out.data) is np.ndarray and out.data.dtype.kind == "f"
+    # With a parent that requires grad, the same op records a node.
+    node = _CONSTANT_OPS[op](Tensor(_A.copy(), requires_grad=True), b)
+    assert node._parents and node._backward is not None and node.requires_grad
+
+
+def test_constant_of_a_non_float_value_converts_it():
+    assert ad.constant(3).data.dtype == np.float64
+    assert ad.constant(np.arange(3)).data.dtype == np.float64
+    x = np.ones(2, dtype=np.float32)
+    assert ad.constant(x).data is x

@@ -57,6 +57,15 @@ def test_generate_artifacts(cli_dataset):
     assert "resolved_config" in manifest and "input_hashes" in manifest
 
 
+def test_manifest_records_versions(cli_dataset):
+    import leocsi
+    import platform
+    manifest = json.loads(open(os.path.join(cli_dataset, "manifest.json")).read())
+    assert manifest["versions"] == {"leocsi": leocsi.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__}
+
+
 def test_generate_never_mutates_previous_run(cli_dataset, tmp_path):
     before = {
         p: os.path.getmtime(os.path.join(cli_dataset, p))
@@ -433,6 +442,88 @@ def test_malformed_checkpoint_is_data_error(cli_dataset, bf_model_dir, tmp_path,
                flag, str(ckpt)) == EXIT_DATA
     _one_error_line(capsys, "data error: ")
     assert not os.path.exists(out)
+
+
+def test_checkpoint_missing_a_parameter_is_data_error(cli_dataset, bf_model_dir, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(bf_model_dir, ckpt)
+    doc = json.loads((ckpt / "params.json").read_text())
+    doc["params"] = [e for e in doc["params"] if e["name"] != "decoder.fc1.b"]
+    (ckpt / "params.json").write_text(json.dumps(doc))
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "eval", "--dataset", os.path.join(cli_dataset, "test"),
+               "--model", str(ckpt)) == EXIT_DATA
+    assert "decoder.fc1.b" in _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def csi_model_dir(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("csi") / "model")
+    Model(desk_model_config(), seed=0).save(path)
+    return path
+
+
+# Half the keys drawn are the sweep section's, which only sweep reads.
+_EVAL_KEYS = st.one_of(st.sampled_from(_CONFIG_KEYS),
+                       st.sampled_from(["sweep.snrs_db", "sweep.bogus"]))
+_EVAL_COMMANDS = [["eval"], ["sweep", "--kind", "velocity"], ["sweep", "--kind", "snr"]]
+_PREFIXES = {EXIT_CONFIG: "config error: ", EXIT_DATA: "data error: ",
+             EXIT_NUMERIC: "numeric failure: "}
+
+
+@given(command=st.sampled_from(_EVAL_COMMANDS), with_model=st.booleans(),
+       baselines=st.lists(st.sampled_from(["persistence", "ar1"]), max_size=2, unique=True),
+       overrides=st.lists(st.tuples(_EVAL_KEYS, _VALUE_TEXT), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_eval_and_sweep_fuzz_exit_cleanly(cli_dataset, csi_model_dir, command, with_model,
+                                          baselines, overrides):
+    # Any --set value on eval or sweep either runs or ends in one error line
+    # with a documented exit code and no run directory.
+    argv = ["--desk"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    argv += command + ["--dataset", os.path.join(cli_dataset, "test")]
+    argv += ["--model", csi_model_dir] if with_model else []
+    for name in baselines:
+        argv += ["--baseline", name]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "runs")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out", out, *argv])
+        lines = err.getvalue().strip().splitlines()
+        if code == 0:
+            assert not lines, lines
+        else:
+            assert code in _PREFIXES, (code, lines)
+            assert len(lines) == 1 and lines[0].startswith(_PREFIXES[code]), lines
+            assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("setting", ['sweep.snrs_db="abc"', "sweep.snrs_db=null",
+                                     "sweep.snrs_db=5", "sweep.snrs_db=[NaN]",
+                                     "sweep.snrs_db=[]", "sweep.bogus=1"])
+def test_bad_sweep_section_is_config_error(cli_dataset, tmp_path, capsys, setting):
+    # Each of these was a traceback (exit 1) or, for the last two, silently ran.
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "--set", setting, "sweep", "--kind", "snr",
+               "--dataset", os.path.join(cli_dataset, "test"),
+               "--baseline", "persistence") == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
+
+
+def test_sweep_snr_points_at_the_bounds_run(cli_dataset, csi_model_dir, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--desk", "--out", str(tmp_path / "runs"),
+                   "--set", "sweep.snrs_db=[-300, 300, Infinity]", "sweep", "--kind", "snr",
+                   "--dataset", os.path.join(cli_dataset, "test"), "--model", csi_model_dir,
+                   "--baseline", "persistence", "--baseline", "ar1") == 0
 
 
 def test_sum_rate_eval_needs_no_more_devices_than_antennas(tmp_path, capsys):

@@ -15,6 +15,8 @@ from leocsi.models import (
     SIGMA_FLOOR,
     desk_model_config,
     encode_csi,
+    init_model_params,
+    model_layout,
     preprocess,
     temporal_encoding,
     to_complex,
@@ -94,17 +96,33 @@ def test_inference_builds_no_backward_graph(head, monkeypatch):
     x_norm, stats = preprocess(past)
     graph = to_complex(model.forward_graph(model.params.leaves(), x_norm, stats).data)
 
-    linked = []
-    init = Tensor.__init__
+    # Tensors are built by ``Tensor.__init__`` or, as constants, by
+    # ``ad.constant``; watch both, and check they see the leaves and the output.
+    made, linked = [], []
+    init, constant, forward = Tensor.__init__, ad.constant, Model.forward_graph
 
     def counting_init(self, data, parents=(), backward=None, requires_grad=False):
         init(self, data, parents, backward, requires_grad)
-        if self._parents or self.requires_grad:
+        made.append(self)
+        if self._parents or self.requires_grad or self._backward is not None:
             linked.append(self)
 
+    def counting_constant(x):
+        out = constant(x)
+        made.append(out)
+        if out._parents or out.requires_grad or out._backward is not None:
+            linked.append(out)
+        return out
+
+    outputs = []
     monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(ad, "constant", counting_constant)
+    monkeypatch.setattr(Model, "forward_graph",
+                        lambda self, *a, **k: outputs.append(forward(self, *a, **k)) or outputs[-1])
     out = model.predict_batch(past)
     assert linked == []
+    assert len(made) > len(model.params.names())
+    assert any(t is outputs[0] for t in made)
     assert np.array_equal(out, graph)
 
 
@@ -197,6 +215,31 @@ def test_checkpoint_with_a_key_bias_loads_and_predicts(tmp_path):
     assert not any(n.endswith(".attn.k.b") for n in loaded.params.names())
     assert loaded.params.names() == model.params.names()
     assert np.array_equal(loaded.predict_batch(past), expected)
+
+
+def test_model_layout_names_the_initialized_parameters():
+    for cfg in (TINY, replace(TINY, lora_rank=0, encoder_layers=0), desk_model_config()):
+        store = init_model_params(cfg, seed=1)
+        layout = model_layout(cfg)
+        assert [name for name, *_ in layout] == store.names()
+        for name, shape, _, decay in layout:
+            assert store[name].data.shape == shape and store[name].decay == decay
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshapen"])
+def test_checkpoint_off_the_layout_does_not_load(tmp_path, damage):
+    model = Model(TINY, seed=4)
+    path = str(tmp_path / "m")
+    model.save(path)
+    store = ad.ParamStore()
+    for name, p in model.params.items():
+        if name != "decoder.fc1.b":
+            store.add(name, p.data, p.trainable, p.decay)
+        elif damage == "misshapen":
+            store.add(name, p.data[:-1], p.trainable, p.decay)
+    ad.save_params(path, store)
+    with pytest.raises(ValueError, match="decoder.fc1.b"):
+        Model.load(path)
 
 
 def test_autoregressive_requirements():

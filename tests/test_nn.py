@@ -140,3 +140,31 @@ def test_sinusoidal_pe_bounded():
     for t in (0, 1, 7, 100, 9999):
         pe = nn.sinusoidal_pe(t, 16)
         assert np.all(np.abs(pe) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_mask_is_one_read_only_array_per_size_and_dtype(dtype):
+    for s in (1, 3, 8):
+        mask = nn.causal_mask(s, np.dtype(dtype))
+        assert mask.dtype == dtype
+        assert np.array_equal(mask, np.triu(np.full((s, s), nn.MASK_NEG, dtype), k=1))
+        assert not mask.flags.writeable
+        assert nn.causal_mask(s, np.dtype(dtype)) is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = 1.0
+
+
+def _sinusoidal_pe_formula(t, d):
+    i = np.arange(1, d + 1, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
+    even = np.sin(t / 10000.0 ** (i / d))
+    odd = np.cos(t / 10000.0 ** ((i - 1) / d))
+    return np.where(i % 2 == 0, even, odd)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 16, 63, 64, 256])
+def test_sinusoidal_pe_equals_the_formula_bit_for_bit(d):
+    for t in (0, 1, 9999, np.arange(8) + 9995, (np.arange(40) * 263).reshape(5, 8) % 10000):
+        expect = _sinusoidal_pe_formula(t, d)
+        got = nn.sinusoidal_pe(t, d)
+        assert got.shape == expect.shape and np.array_equal(got, expect)
