@@ -507,10 +507,12 @@ def test_eval_and_sweep_fuzz_exit_cleanly(cli_dataset, csi_model_dir, command, w
 @pytest.mark.parametrize("setting", ['sweep.snrs_db="abc"', "sweep.snrs_db=null",
                                      "sweep.snrs_db=5", "sweep.snrs_db=[NaN]",
                                      "sweep.snrs_db=[]", "sweep.bogus=1"])
-def test_bad_sweep_section_is_config_error(cli_dataset, tmp_path, capsys, setting):
-    # Each of these was a traceback (exit 1) or, for the last two, silently ran.
+@pytest.mark.parametrize("kind", ["snr", "velocity"])
+def test_bad_sweep_section_is_config_error(cli_dataset, tmp_path, capsys, setting, kind):
+    # With --kind snr each of these was a traceback (exit 1) or, for the last
+    # two, silently ran; --kind velocity never read the section.
     out = str(tmp_path / "runs")
-    assert run("--desk", "--out", out, "--set", setting, "sweep", "--kind", "snr",
+    assert run("--desk", "--out", out, "--set", setting, "sweep", "--kind", kind,
                "--dataset", os.path.join(cli_dataset, "test"),
                "--baseline", "persistence") == EXIT_CONFIG
     _one_error_line(capsys, "config error: ")
