@@ -571,6 +571,10 @@ def collect_grads(leaves: dict[str, Tensor]) -> dict[str, np.ndarray]:
     }
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments.
 
@@ -578,17 +582,15 @@ class AdamW:
     flag is set; frozen parameters are never touched.
     """
 
-    def __init__(self, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, lr=1e-4, weight_decay=0.01):
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
     def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
         self._t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         for name, p in store.items():
             if not p.trainable or name not in grads:
                 continue
@@ -602,7 +604,7 @@ class AdamW:
             v_hat = v / (1 - b2 ** self._t)
             if p.decay and self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def grad_check(f, store: ParamStore, eps: float = 1e-5, max_entries: int = 200,

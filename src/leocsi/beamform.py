@@ -141,20 +141,20 @@ def wmmse(
     H: np.ndarray,
     total_power: float,
     noise_power: float,
-    init: np.ndarray | None = None,
     tol: float = 1e-5,
     max_iter: int = 200,
 ) -> tuple[np.ndarray, list[float]]:
     """Alternating WMMSE ascent on the sum rate of problem max sum log2(1+SINR).
 
-    Returns the beamforming matrix and the per-iteration rate trace (which
-    is non-decreasing up to numerical noise).  The final solution is scaled
-    to use the full budget, which can only improve every device's SINR.
+    Starts from MRT.  Returns the beamforming matrix and the per-iteration
+    rate trace (which is non-decreasing up to numerical noise).  The final
+    solution is scaled to use the full budget, which can only improve every
+    device's SINR.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     H = np.asarray(H)
-    W = mrt(H, total_power) if init is None else np.array(init, dtype=complex)
+    W = mrt(H, total_power)
     gram = H @ H.conj().T
     mu = None
 

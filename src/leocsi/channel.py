@@ -38,10 +38,10 @@ class DeviceChannelParams:
 
 @dataclass(frozen=True)
 class CsiTensor:
-    """Complex CSI over ``[slots, devices, antennas]``."""
+    """Complex CSI over ``[slots, devices, antennas]``; ``origin_slot`` is
+    the absolute index of its first slot."""
 
     data: np.ndarray
-    slot_interval_s: float
     origin_slot: int = 0
 
     def __post_init__(self):
@@ -229,7 +229,4 @@ def generate_episode(
         data = np.matmul((gains * phase).transpose(1, 0, 2), steer)  # [K, T, N]
     if not np.all(np.isfinite(data)):
         raise FloatingPointError("the scenario gives non-finite CSI")
-    return CsiTensor(
-        data=np.ascontiguousarray(data.transpose(1, 0, 2)),
-        slot_interval_s=config.slot_interval_s,
-    )
+    return CsiTensor(np.ascontiguousarray(data.transpose(1, 0, 2)))

@@ -72,12 +72,20 @@ def _replace_section(base, section: dict, name: str):
         raise ConfigError(f"invalid '{name}' section: {exc}") from exc
 
 
+def _parse_float(text: str) -> float:
+    """A JSON number; one too large for a float is an error, not infinity."""
+    value = float(text)
+    if abs(value) == float("inf"):
+        raise ConfigError(f"number {text} overflows a float")
+    return value
+
+
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "scenario": {}, "model": {}, "train": {}, "sweep": {}}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_float=_parse_float)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         unknown = set(loaded) - set(doc)
@@ -92,7 +100,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
         if len(parts) != 2 or parts[0] not in ("scenario", "model", "train", "sweep"):
             raise ConfigError(f"--set path must be section.key, got {dotted!r}")
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_float=_parse_float)
         except json.JSONDecodeError:
             value = raw
         doc[parts[0]][parts[1]] = value
@@ -134,9 +142,9 @@ def resolve(doc: dict, desk: bool):
     )
 
 
-def _check_split(meta, model_cfg: ModelConfig):
-    """A training split must have the model's slot counts and CSI image size."""
-    split = (meta.t_p, meta.t_f, meta.scenario.num_devices, meta.scenario.num_antennas)
+def _check_split(data, model_cfg: ModelConfig):
+    """A split must have the model's slot counts and CSI image size."""
+    split = (data.t_p, data.t_f, *data.csi.shape[2:])
     model = (model_cfg.t_p, model_cfg.t_f, model_cfg.num_devices, model_cfg.num_antennas)
     if split != model:
         raise DimensionMismatchError(
@@ -220,8 +228,8 @@ def cmd_generate(args, doc):
 
 def cmd_pretrain(args, doc):
     _, model_cfg, train_cfg = resolve(doc, args.desk)
-    meta, data = load_dataset(args.dataset)
-    _check_split(meta, model_cfg)
+    _, data = load_dataset(args.dataset)
+    _check_split(data, model_cfg)
     store, trace = pretrain_backbone(data, model_cfg, train_cfg, seed=args.seed)
     run_dir = make_run_dir(args.out, args.seed)
     ad.save_params(os.path.join(run_dir, "backbone"), store)
@@ -241,8 +249,8 @@ def _write_trace(run_dir: str, trace: list[float]):
 def _cmd_train(args, doc, head: str):
     scenario, model_cfg, train_cfg = resolve(doc, args.desk)
     model_cfg = dataclasses.replace(model_cfg, head=head)
-    meta, data = load_dataset(args.dataset)
-    _check_split(meta, model_cfg)
+    _, data = load_dataset(args.dataset)
+    _check_split(data, model_cfg)
     if args.backbone:
         pretrained = _load_checkpoint(ad.load_params, args.backbone)
         try:
@@ -279,7 +287,7 @@ def _clean_test_split(meta, data):
     if meta.split != "test":
         raise DatasetError(f"an SNR sweep needs a test split, got {meta.split!r}")
     _, clean = build_dataset(
-        meta.scenario, meta.m, split="test", t_p=meta.t_p, t_f=meta.t_f,
+        meta.scenario, len(data), split="test", t_p=data.t_p, t_f=data.t_f,
         seed=meta.seed, test_snr_db=float("inf"),
     )
     if not np.allclose(data.future, clean.future, rtol=2.0**-22, atol=1e-12):
@@ -294,7 +302,7 @@ def _eval_inputs(args, doc):
     meta, data = load_dataset(args.dataset)
     model = _load_checkpoint(Model.load, args.model) if args.model else None
     if model is not None:
-        _check_split(meta, model.cfg)
+        _check_split(data, model.cfg)
     return baselines, meta, data, model
 
 
@@ -430,6 +438,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         doc = load_run_config(args.config, args.overrides)
         return args.func(args, doc)
     except ConfigError as exc:

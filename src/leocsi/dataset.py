@@ -50,8 +50,6 @@ class SampleRecord:
     past: CsiTensor       # [t_p, K, N]
     future: CsiTensor     # [t_f, K, N]
     device_speed_mps: np.ndarray  # [K]
-    noise_snr_db: float   # +inf means no noise was applied
-    future_noised: bool
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class Dataset:
 
     csi: np.ndarray            # [M, t_p + t_f, K, N] complex
     t_p: int
-    slot_interval_s: float
     speeds_mps: np.ndarray     # [M, K]
     snr_db: np.ndarray         # [M], +inf means no noise was applied
     future_noised: np.ndarray  # [M] bool
@@ -87,12 +84,9 @@ class Dataset:
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return SampleRecord(
-                past=CsiTensor(self.csi[index, : self.t_p], self.slot_interval_s),
-                future=CsiTensor(self.csi[index, self.t_p :], self.slot_interval_s,
-                                 origin_slot=self.t_p),
+                past=CsiTensor(self.csi[index, : self.t_p]),
+                future=CsiTensor(self.csi[index, self.t_p :], origin_slot=self.t_p),
                 device_speed_mps=self.speeds_mps[index],
-                noise_snr_db=float(self.snr_db[index]),
-                future_noised=bool(self.future_noised[index]),
             )
         return replace(
             self, csi=self.csi[index], speeds_mps=self.speeds_mps[index],
@@ -102,17 +96,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetMeta:
+    """How a split was made; its sizes are those of its ``Dataset``."""
+
     scenario: ScenarioConfig
-    m: int
-    t_p: int
-    t_f: int
     split: str
     seed: int
     snr_policy: str
 
 
-def add_estimation_noise(csi: CsiTensor, snr_db: float, rng_seed: int) -> CsiTensor:
-    """Add circularly-symmetric complex Gaussian noise at the given SNR.
+def add_estimation_noise(csi: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
+    """``csi`` plus circularly-symmetric complex Gaussian noise at the given SNR.
 
     Noise power is mean(|csi|^2) / 10^(snr_db/10); ``snr_db=inf`` returns
     the input unchanged.
@@ -122,16 +115,12 @@ def add_estimation_noise(csi: CsiTensor, snr_db: float, rng_seed: int) -> CsiTen
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     rng = np.random.default_rng(rng_seed)
-    signal_power = np.mean(np.abs(csi.data) ** 2)
+    signal_power = np.mean(np.abs(csi) ** 2)
     noise_power = signal_power / 10.0 ** (snr_db / 10.0)
     noise = np.sqrt(noise_power / 2.0) * (
-        rng.standard_normal(csi.data.shape) + 1j * rng.standard_normal(csi.data.shape)
+        rng.standard_normal(csi.shape) + 1j * rng.standard_normal(csi.shape)
     )
-    return CsiTensor(
-        data=csi.data + noise,
-        slot_interval_s=csi.slot_interval_s,
-        origin_slot=csi.origin_slot,
-    )
+    return csi + noise
 
 
 def _sample_seed(seed: int, index: int, salt: int) -> int:
@@ -160,7 +149,7 @@ def build_dataset(
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
 
-    k, dt = config.num_devices, config.slot_interval_s
+    k = config.num_devices
     future_noised = split == "train"
     csi = np.empty((count, t_p + t_f, k, config.num_antennas), dtype=complex)
     speeds = np.empty((count, k))
@@ -175,14 +164,14 @@ def build_dataset(
             snr_db = test_snr_db
         speeds[i], snrs[i] = speed, snr_db
 
-        episode = generate_episode(config, speeds[i], t_p + t_f, _sample_seed(seed, i, 1))
+        episode = generate_episode(config, speeds[i], t_p + t_f, _sample_seed(seed, i, 1)).data
         noise_seed = _sample_seed(seed, i, 2)
-        past = add_estimation_noise(CsiTensor(episode.data[:t_p], dt), snr_db, noise_seed)
-        future = CsiTensor(episode.data[t_p:], dt, origin_slot=t_p)
+        past = add_estimation_noise(episode[:t_p], snr_db, noise_seed)
+        future = episode[t_p:]
         if future_noised:
             future = add_estimation_noise(future, snr_db, noise_seed + 1)
         sample = csi[i]
-        sample[:t_p], sample[t_p:] = past.data, future.data
+        sample[:t_p], sample[t_p:] = past, future
         # Round through the on-disk float32 precision so save/load round
         # trips are bit-exact against the in-memory dataset.
         for plane in (sample.real, sample.imag):
@@ -191,12 +180,8 @@ def build_dataset(
     snr_policy = (
         "uniform[5,20]dB past+future" if split == "train" else f"fixed {test_snr_db} dB past-only"
     )
-    meta = DatasetMeta(
-        scenario=config, m=count, t_p=t_p, t_f=t_f, split=split, seed=seed,
-        snr_policy=snr_policy,
-    )
-    data = Dataset(csi, t_p, dt, speeds, snrs, np.full(count, future_noised))
-    return meta, data
+    meta = DatasetMeta(scenario=config, split=split, seed=seed, snr_policy=snr_policy)
+    return meta, Dataset(csi, t_p, speeds, snrs, np.full(count, future_noised))
 
 
 def _scenario_from_dict(d: dict) -> ScenarioConfig:
@@ -218,9 +203,9 @@ def save_dataset(path: str, meta: DatasetMeta, data: Dataset) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": asdict(meta.scenario),
-        "m": meta.m,
-        "t_p": meta.t_p,
-        "t_f": meta.t_f,
+        "m": m,
+        "t_p": data.t_p,
+        "t_f": data.t_f,
         "split": meta.split,
         "seed": meta.seed,
         "snr_policy": meta.snr_policy,
@@ -277,8 +262,5 @@ def load_dataset(path: str) -> tuple[DatasetMeta, Dataset]:
     csi = np.empty((m, t_p + t_f, k, n), dtype=complex)
     csi.real[...] = payload[:, :, 0]
     csi.imag[...] = payload[:, :, 1]
-    meta = DatasetMeta(
-        scenario=scenario, m=m, t_p=t_p, t_f=t_f, split=split, seed=seed,
-        snr_policy=snr_policy,
-    )
-    return meta, Dataset(csi, t_p, scenario.slot_interval_s, speeds, snrs, future_noised)
+    meta = DatasetMeta(scenario=scenario, split=split, seed=seed, snr_policy=snr_policy)
+    return meta, Dataset(csi, t_p, speeds, snrs, future_noised)

@@ -172,8 +172,8 @@ def snr_sweep(
     result = ExperimentResult("snr_db", "nmse_db", seed, points=list(snrs_db))
     for i, snr in enumerate(snrs_db):
         csi = clean.csi.copy()
-        for j, rec in enumerate(clean):
-            csi[j, : clean.t_p] = add_estimation_noise(rec.past, snr, seed + 1000 * i + j).data
+        for j, past in enumerate(clean.past):
+            csi[j, : clean.t_p] = add_estimation_noise(past, snr, seed + 1000 * i + j)
         noisy = replace(clean, csi=csi, snr_db=np.full(len(clean), float(snr)))
         for label, predictor in predictors.items():
             result.add(label, eval_nmse(predictor, noisy))

@@ -126,7 +126,7 @@ def check_layout(store: ParamStore, cfg: ModelConfig) -> ParamStore:
         if name not in store:
             raise ValueError(f"checkpoint lacks parameter {name}")
         if store[name].data.shape != shape:
-            raise ValueError(f"parameter {name} has shape {store[name].data.shape}, "
+            raise ValueError(f"shape mismatch at {name}: {store[name].data.shape} stored, "
                              f"the model needs {shape}")
     kept = ParamStore()
     for name, p in store.items():
@@ -140,15 +140,14 @@ def check_layout(store: ParamStore, cfg: ModelConfig) -> ParamStore:
 def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
     """Split complex history into two real channels and standardize.
 
-    ``past`` is [t_p, K, N] or [B, t_p, K, N] complex; statistics are
-    computed per sample over all real values of its history images.
-    Raises ``FloatingPointError`` if a sample's mean or standard deviation
-    is not finite.
+    ``past`` is [B, t_p, K, N] complex; statistics are computed per sample
+    over all real values of its history images.  Raises ``ValueError`` for
+    another rank and ``FloatingPointError`` if a sample's mean or standard
+    deviation is not finite.
     """
     past = np.asarray(past)
-    squeeze = past.ndim == 3
-    if squeeze:
-        past = past[None]
+    if past.ndim != 4:
+        raise ValueError(f"history must be [B, t_p, K, N], got shape {past.shape}")
     if not np.all(np.isfinite(past)):
         raise ValueError("history CSI contains NaN/Inf")
     real = np.stack([past.real, past.imag], axis=2)  # [B, t_p, 2, K, N]
@@ -160,8 +159,6 @@ def preprocess(past: np.ndarray) -> tuple[np.ndarray, NormStats]:
         # infinite sigma would standardize it to all zeros.
         raise FloatingPointError("history CSI too large to standardize")
     norm = (real - mu[:, None, None, None, None]) / sigma[:, None, None, None, None]
-    if squeeze:
-        return norm[0], NormStats(mu=mu, sigma=sigma)
     return norm, NormStats(mu=mu, sigma=sigma)
 
 
@@ -240,6 +237,13 @@ def to_complex(real: np.ndarray) -> np.ndarray:
     return real[..., 0, :, :] + 1j * real[..., 1, :, :]
 
 
+def _history(past) -> tuple[np.ndarray, int]:
+    """One history as an array and its origin slot: a ``CsiTensor``'s, else 0."""
+    if isinstance(past, CsiTensor):
+        return past.data, past.origin_slot
+    return np.asarray(past), 0
+
+
 class Model:
     """A trained or trainable predictor with a CSI or beamforming head."""
 
@@ -280,24 +284,19 @@ class Model:
                 raise FloatingPointError("degenerate all-zero beamforming head output")
         return to_complex(real)
 
-    def predict(self, past, origin_slot: int | None = None) -> np.ndarray:
+    def predict(self, past) -> np.ndarray:
         """[t_p, K, N] history (array or CsiTensor) -> [t_f, K, N] output."""
-        if isinstance(past, CsiTensor):
-            if origin_slot is None:
-                origin_slot = past.origin_slot
-            past = past.data
-        return self.predict_batch(np.asarray(past)[None], origin_slot or 0)[0]
+        past, origin_slot = _history(past)
+        return self.predict_batch(past[None], origin_slot)[0]
 
-    def predict_autoregressive(self, past, t_f: int, origin_slot: int = 0) -> np.ndarray:
+    def predict_autoregressive(self, past, t_f: int) -> np.ndarray:
         """Slot-by-slot rollout with a one-slot head and a sliding window."""
         if self.cfg.head != "csi":
             raise ValueError("autoregressive decoding requires the CSI head")
         if self.cfg.t_f != 1:
             raise ValueError("autoregressive decoding requires a one-slot head")
-        if isinstance(past, CsiTensor):
-            origin_slot = past.origin_slot
-            past = past.data
-        window = np.asarray(past).copy()
+        past, origin_slot = _history(past)
+        window = past.copy()
         preds = []
         for step in range(t_f):
             nxt = self.predict_batch(window[None], origin_slot + step)[0]  # [1, K, N]

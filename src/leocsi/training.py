@@ -15,11 +15,12 @@ from . import autodiff as ad
 from .autodiff import AdamW, ParamStore, Tensor
 from .config import check_fields
 from .dataset import Dataset
-from .models import Model, ModelConfig, preprocess
+from .models import Model, ModelConfig, check_layout, preprocess
 
 # Training graphs compute in this dtype; the float64 master weights in the
 # ParamStore take the AdamW updates (mixed-precision training).
 TRAIN_DTYPE = np.float32
+CLIP_NORM = 1.0  # gradients are scaled down to this global norm
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,9 @@ class TrainConfig:
     batch: int = 64
     epochs: int = 300
     lr: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
     seed: int = 0
     freeze: str = "backbone"  # or "none"
-    clip_norm: float | None = 1.0
     max_steps: int | None = None
     noise_power: float = 0.1  # used by the beamforming loss
 
@@ -39,6 +38,11 @@ class TrainConfig:
         check_fields(self)
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not np.isfinite(float(self.lr) * float(self.weight_decay)):
+            # AdamW scales weights by 1 - lr * weight_decay.
+            raise ValueError("lr * weight_decay overflows a float")
         if self.freeze not in ("backbone", "none"):
             raise ValueError("freeze must be 'backbone' or 'none'")
 
@@ -145,21 +149,17 @@ def expected_trainable_count(cfg: ModelConfig, store: ParamStore) -> int:
 
 # -- training loops -----------------------------------------------------
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float | None):
-    """Global gradient norm, and ``grads`` scaled down to ``max_norm`` if above it."""
+def _clip_grads(grads: dict[str, np.ndarray]):
+    """Global gradient norm, and ``grads`` scaled down to ``CLIP_NORM`` if above it."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if max_norm is not None and total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         grads = {name: g * scale for name, g in grads.items()}
     return total, grads
 
 
-def _run_training(
-    model: Model,
-    data: Dataset,
-    tc: TrainConfig,
-    loss_kind: str,
-) -> list[float]:
+def _run_training(model: Model, data: Dataset, tc: TrainConfig) -> list[float]:
+    """Train ``model`` on the loss of its head; returns the per-step loss trace."""
     past, future = data.past, data.future
     m = len(data)
     if past.shape[1] != model.cfg.t_p or future.shape[1] != model.cfg.t_f:
@@ -167,7 +167,7 @@ def _run_training(
     if past.shape[2:] != (model.cfg.num_devices, model.cfg.num_antennas):
         raise ValueError("dataset device/antenna shape does not match the model")
 
-    opt = AdamW(lr=tc.lr, betas=tc.betas, weight_decay=tc.weight_decay)
+    opt = AdamW(lr=tc.lr, weight_decay=tc.weight_decay)
     rng = np.random.default_rng(tc.seed)
     trace: list[float] = []
     steps = 0
@@ -182,12 +182,12 @@ def _run_training(
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 leaves = model.params.leaves(TRAIN_DTYPE)
                 pred = model.forward_graph(leaves, x_norm, stats)
-                if loss_kind == "cp":
+                if model.cfg.head == "csi":
                     loss = nmse_loss_graph(pred, future[idx])
                 else:
                     loss = bf_loss_graph(pred, future[idx], tc.noise_power)
                 loss.backward()
-                norm, grads = _clip_grads(ad.collect_grads(leaves), tc.clip_norm)
+                norm, grads = _clip_grads(ad.collect_grads(leaves))
             value = float(loss.data)
             if not (np.isfinite(value) and np.isfinite(norm)):
                 raise FloatingPointError(
@@ -201,22 +201,22 @@ def _run_training(
     return trace
 
 
-def finetune_cp(data: Dataset, model: Model, tc: TrainConfig) -> list[float]:
-    """Fine-tune a CSI-head model; returns the per-step loss trace."""
-    if model.cfg.head != "csi":
-        raise ValueError("finetune_cp requires a CSI-head model")
+def _finetune(data: Dataset, model: Model, tc: TrainConfig, head: str) -> list[float]:
+    if model.cfg.head != head:
+        raise ValueError(f"{head!r}-head fine-tuning got a {model.cfg.head!r}-head model")
     if tc.freeze == "backbone":
         model.params.freeze("backbone.")
-    return _run_training(model, data, tc, "cp")
+    return _run_training(model, data, tc)
+
+
+def finetune_cp(data: Dataset, model: Model, tc: TrainConfig) -> list[float]:
+    """Fine-tune a CSI-head model; returns the per-step loss trace."""
+    return _finetune(data, model, tc, "csi")
 
 
 def finetune_bf(data: Dataset, model: Model, tc: TrainConfig) -> list[float]:
     """Fine-tune a beamforming-head model; returns the per-step loss trace."""
-    if model.cfg.head != "bf":
-        raise ValueError("finetune_bf requires a beamforming-head model")
-    if tc.freeze == "backbone":
-        model.params.freeze("backbone.")
-    return _run_training(model, data, tc, "bf")
+    return _finetune(data, model, tc, "bf")
 
 
 def pretrain_backbone(
@@ -234,7 +234,7 @@ def pretrain_backbone(
     pre_cfg = replace(cfg, head="csi", lora_rank=0)
     model = Model(pre_cfg, seed=seed)
     tc = replace(tc, freeze="none")
-    trace = _run_training(model, data, tc, "cp")
+    trace = _run_training(model, data, tc)
     model.params.freeze("backbone.")
     return model.params, trace
 
@@ -242,18 +242,21 @@ def pretrain_backbone(
 def build_finetune_model(cfg: ModelConfig, pretrained: ParamStore, seed: int = 0) -> Model:
     """Model warm-started from a pretrained store, backbone frozen.
 
-    Every matching pretrained weight (encoder, backbone, decoder) is copied;
-    LoRA adapters are freshly zero-initialized so the warm-started model
-    computes exactly the pretrained function at rank 0 and at any rank
-    before the first optimizer step.
+    Every pretrained weight (encoder, backbone, decoder) is copied; LoRA
+    adapters are freshly zero-initialized so the warm-started model computes
+    exactly the pretrained function at rank 0 and at any rank before the
+    first optimizer step.  Raises ``ValueError`` if the store lacks a weight
+    of ``cfg``'s layout, has one of another shape, or has an encoder or
+    backbone weight the layout lacks (the key bias of older checkpoints is
+    dropped, as ``Model.load`` drops it).
     """
+    base = check_layout(pretrained, replace(cfg, lora_rank=0))
+    for name in pretrained.names():
+        if (name.startswith(("encoder.", "backbone.")) and name not in base
+                and not name.endswith(".attn.k.b")):
+            raise ValueError(f"pretrained parameter {name} is not in the model layout")
     model = Model(cfg, seed=seed)
-    for name in model.params.names():
-        if name.startswith("lora."):
-            continue
-        if name in pretrained:
-            if pretrained[name].data.shape != model.params[name].data.shape:
-                raise ValueError(f"pretrained shape mismatch at {name}")
-            model.params[name].data[...] = pretrained[name].data
+    for name, p in base.items():
+        model.params[name].data[...] = p.data
     model.params.freeze("backbone.")
     return model

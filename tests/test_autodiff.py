@@ -221,7 +221,7 @@ def test_adamw_decoupled_decay():
 def test_adamw_first_step_matches_manual():
     store = ParamStore()
     store.add("w", np.array([2.0]), decay=False)
-    opt = AdamW(lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt = AdamW(lr=0.01, weight_decay=0.0)
     opt.step(store, {"w": np.array([0.5])})
     # Bias-corrected first Adam step moves by ~lr in the gradient direction.
     assert store["w"].data[0] == pytest.approx(2.0 - 0.01 * 0.5 / (0.5 + 1e-8), rel=1e-9)

@@ -128,9 +128,9 @@ def test_residual_sat_doppler_bounded():
 
 def test_csi_tensor_validation():
     with pytest.raises(ValueError):
-        CsiTensor(np.zeros((3, 3)), 0.5e-3)
+        CsiTensor(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        CsiTensor(np.full((2, 2, 2), np.nan), 0.5e-3)
+        CsiTensor(np.full((2, 2, 2), np.nan))
 
 
 def test_episode_input_validation():

@@ -146,7 +146,7 @@ def test_sweep_snr_renoises_clean_histories(cli_dataset, tmp_path):
     swept = doc["values"]["persistence"][0]
 
     meta, noisy = load_dataset(test_dir)
-    _, clean = build_dataset(meta.scenario, meta.m, "test", meta.t_p, meta.t_f,
+    _, clean = build_dataset(meta.scenario, len(noisy), "test", noisy.t_p, noisy.t_f,
                              seed=meta.seed, test_snr_db=float("inf"))
     on_clean = eval_nmse(BASELINES["persistence"], clean)
     on_noisy = eval_nmse(BASELINES["persistence"], noisy)
@@ -189,12 +189,11 @@ def test_eval_static_channel_floor(tmp_path, capsys):
          + 1j * np.random.default_rng(1).standard_normal((1, scen.num_devices, scen.num_antennas)))
     data = np.repeat(h, 10, axis=0)
     split = Dataset(
-        csi=data[None].astype(np.complex128), t_p=8, slot_interval_s=scen.slot_interval_s,
+        csi=data[None].astype(np.complex128), t_p=8,
         speeds_mps=np.zeros((1, scen.num_devices)), snr_db=np.array([float("inf")]),
         future_noised=np.array([False]),
     )
-    meta = DatasetMeta(scenario=scen, m=1, t_p=8, t_f=2, split="test", seed=0,
-                       snr_policy="none")
+    meta = DatasetMeta(scenario=scen, split="test", seed=0, snr_policy="none")
     ds = str(tmp_path / "static")
     save_dataset(ds, meta, split)
     out = str(tmp_path / "runs")
@@ -225,7 +224,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         ["--desk", "--set", "model.t_p=abc", *generate],
         ["--set", "model.t_p=abc", "pretrain", "--dataset", "unused"],
         ["--set", "train.batch=2.5", "pretrain", "--dataset", "unused"],
-        ["--set", "train.betas=1", "pretrain", "--dataset", "unused"],
+        ["--set", "train.max_steps=2.5", "pretrain", "--dataset", "unused"],
+        ["--set", "train.clip_norm=1.0", "pretrain", "--dataset", "unused"],  # removed key
         ["--set", "model.d_llm=1e3", "pretrain", "--dataset", "unused"],
         ["--desk", "--set", "model.patch=true", *generate],
         ["--desk", "--set", "scenario.los_phi_range=[1, 2, 3]", *generate],
@@ -381,6 +381,61 @@ def test_non_finite_training_is_numeric_failure(cli_dataset, tmp_path, capsys, c
     assert not os.path.exists(out)
 
 
+@pytest.fixture(scope="module")
+def desk_backbone(cli_dataset, tmp_path_factory):
+    """A desk (two-layer) backbone pretrained for one step."""
+    pre = str(tmp_path_factory.mktemp("pre"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("--desk", "--out", pre, "--set", "train.max_steps=1",
+                   "pretrain", "--dataset", os.path.join(cli_dataset, "train")) == 0
+    return os.path.join(_one_run_dir(pre), "backbone")
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_backbone_of_another_depth_is_data_error(cli_dataset, desk_backbone, tmp_path, capsys,
+                                                 layers):
+    # With three layers the third kept its random draw, frozen; with one the
+    # pretrained second layer was dropped.  Both ran and exited 0.
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, "--set", f"model.backbone_layers={layers}",
+               "train-cp", "--dataset", os.path.join(cli_dataset, "train"),
+               "--backbone", desk_backbone) == EXIT_DATA
+    assert "backbone.l" in _one_error_line(capsys, "data error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("case", ["train.seed", "--seed"])
+def test_negative_seed_is_config_error(cli_dataset, tmp_path, capsys, case):
+    if case == "train.seed":
+        flags = ["--set", "train.seed=-1", "--set", "train.max_steps=1",
+                 "train-cp", "--dataset", os.path.join(cli_dataset, "train")]
+    else:
+        flags = ["--seed", "-1", "generate", "--train-count", "1", "--test-count", "1"]
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, *flags) == EXIT_CONFIG
+    _one_error_line(capsys, "config error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("snrs, code", [("[1e400]", EXIT_CONFIG), ("[-1e400]", EXIT_CONFIG),
+                                        ("[Infinity]", 0)])
+@pytest.mark.parametrize("via", ["--set", "--config"])
+def test_overflowing_number_is_config_error(cli_dataset, tmp_path, capsys, snrs, code, via):
+    # JSON reads 1e400 as infinity; only the literal Infinity means no noise.
+    if via == "--set":
+        flags = ["--set", f"sweep.snrs_db={snrs}"]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text('{"sweep": {"snrs_db": %s}}' % snrs)
+        flags = ["--config", str(path)]
+    out = str(tmp_path / "runs")
+    assert run("--desk", "--out", out, *flags, "sweep", "--kind", "snr", "--dataset",
+               os.path.join(cli_dataset, "test"), "--baseline", "persistence") == code
+    if code == EXIT_CONFIG:
+        assert "1e400" in _one_error_line(capsys, "config error: ")
+        assert not os.path.exists(out)
+
+
 def test_backbone_of_another_width_is_data_error(cli_dataset, tmp_path, capsys):
     pre = str(tmp_path / "pre")
     train = os.path.join(cli_dataset, "train")
@@ -488,6 +543,12 @@ def test_eval_and_sweep_fuzz_exit_cleanly(cli_dataset, csi_model_dir, command, w
     argv += ["--model", csi_model_dir] if with_model else []
     for name in baselines:
         argv += ["--baseline", name]
+    _exits_cleanly(argv)
+
+
+def _exits_cleanly(argv):
+    """``main(argv)`` either runs silently or prints one error line with a
+    documented exit code and leaves no run directory; numpy warnings fail."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "runs")
         err = io.StringIO()
@@ -542,3 +603,22 @@ def test_sum_rate_eval_needs_no_more_devices_than_antennas(tmp_path, capsys):
                "--model", model) == EXIT_CONFIG
     _one_error_line(capsys, "config error: ")
     assert not os.path.exists(out)
+
+
+# Every TrainConfig field, and two that no longer exist.
+_TRAIN_KEYS = [f"train.{field.name}" for field in dataclasses.fields(TrainConfig)]
+_TRAIN_KEYS += ["train.betas", "train.clip_norm"]
+
+
+@given(overrides=st.lists(st.tuples(st.sampled_from(_TRAIN_KEYS), _VALUE_TEXT),
+                          min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_train_fuzz_exits_cleanly(cli_dataset, overrides):
+    # Any train.* value on train-cp either trains or ends in one error line
+    # with a documented exit code and no run directory.  The last --set wins,
+    # so no example trains more than two steps.
+    argv = ["--desk"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    _exits_cleanly(argv + ["--set", "train.max_steps=2", "train-cp",
+                           "--dataset", os.path.join(cli_dataset, "train")])

@@ -8,7 +8,7 @@ import pytest
 from leocsi.beamform import sum_rate
 from leocsi.config import desk_scenario
 from leocsi.dataset import build_dataset
-from leocsi.models import Model, desk_model_config, preprocess
+from leocsi.models import Model, desk_model_config, init_model_params, preprocess
 from leocsi import training
 from leocsi.training import (
     TrainConfig,
@@ -44,6 +44,10 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(freeze="half")
+    with pytest.raises(ValueError):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(lr=1e300, weight_decay=1e300)
 
 
 def test_nmse_loss_known_value():
@@ -159,6 +163,39 @@ def test_adopt_backbone_shape_check(tiny_records):
     )
     with pytest.raises(ValueError):
         build_finetune_model(other, store, seed=0)
+
+
+@pytest.mark.parametrize("layers", [0, 2])
+def test_warm_start_needs_the_pretrained_layer_count(layers):
+    # Pretrained with one backbone layer: a second layer would keep its
+    # random draw frozen, and with none the trained layer would be dropped.
+    store = init_model_params(replace(TINY, lora_rank=0), seed=0)
+    with pytest.raises(ValueError, match="backbone.l"):
+        build_finetune_model(replace(TINY, backbone_layers=layers), store, seed=1)
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshapen"])
+def test_warm_start_needs_every_weight_of_the_layout(damage):
+    store = init_model_params(replace(TINY, lora_rank=0), seed=0)
+    kept = ad.ParamStore()
+    for name, p in store.items():
+        if name != "decoder.fc1.b":
+            kept.add(name, p.data)
+        elif damage == "misshapen":
+            kept.add(name, p.data[:-1])
+    with pytest.raises(ValueError, match="decoder.fc1.b"):
+        build_finetune_model(TINY, kept, seed=1)
+
+
+def test_warm_start_drops_a_legacy_key_bias():
+    store = init_model_params(replace(TINY, lora_rank=0), seed=0)
+    plain = build_finetune_model(TINY, store, seed=1)
+    store.add("backbone.l0.attn.k.b", np.ones(TINY.d_llm))
+    store.add("encoder.l0.attn.k.b", np.ones(TINY.d_enc))
+    model = build_finetune_model(TINY, store, seed=1)
+    assert model.params.names() == plain.params.names()
+    for name, p in plain.params.items():
+        assert np.array_equal(model.params[name].data, p.data)
 
 
 def test_non_finite_step_stops_training(tiny_records):
