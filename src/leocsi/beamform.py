@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
 
 def sinr(H: np.ndarray, W: np.ndarray, noise_power: float) -> np.ndarray:
     """Per-device SINR: |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + sigma^2)."""
@@ -78,20 +81,26 @@ def _wmmse_w_update(H, gram, lam, u, total_power, mu=None, inner_tol=1e-13):
     r, a = np.sqrt(lam), np.abs(u)
     s = r * a
     evals, V = np.linalg.eigh(gram * (s[:, None] * s))
-    keep = evals > evals.max() * len(s) * np.finfo(float).eps
-    evals, V = evals[keep], V[:, keep]
-    # diag(beta/s) V with beta/s = sqrt(lam) conj(u)/|u|, and 0 where u = 0.
+    # eigh sorts evals ascending, so the mask copies only when it drops one.
+    floor = evals[-1] * len(s) * _EPS
+    if evals[0] <= floor:
+        keep = evals > floor
+        evals, V = evals[keep], V[:, keep]
+    # diag(beta/s) V with beta/s = sqrt(lam) conj(u)/|u|, and about 0 where
+    # |u| is 0 or subnormal (dividing by a subnormal overflows).
     # (np.sign of a complex number is z/|z| only from numpy 2.0 on.)
-    Y = (r * np.conj(u) / np.where(a > 0, a, 1.0))[:, None] * V
+    Y = (r * np.conj(u) / np.where(a >= _TINY, a, 1.0))[:, None] * V
     M = V.conj().T @ (s[:, None] * H)  # orthogonal rows with squared norms evals
     # W(mu) = Y (evals + mu)^-1 M, so power(mu) = sum_i c_i / (evals_i + mu)^2.
-    c = evals * (np.abs(Y) ** 2).sum(axis=0)
+    # The K terms are summed in Python floats: at this size one numpy call
+    # costs more than the whole sum.
+    terms = list(zip(evals.tolist(), (evals * (np.abs(Y) ** 2).sum(axis=0)).tolist()))
 
     def solve(mu):
         return (Y / (evals + mu)) @ M
 
     # Interior solution: already within budget at mu = 0.
-    if float(c @ evals**-2) <= total_power:
+    if sum(ci / e / e for e, ci in terms) <= total_power:
         return solve(0.0), 0.0
 
     target = total_power ** -0.5
@@ -100,9 +109,12 @@ def _wmmse_w_update(H, gram, lam, u, total_power, mu=None, inner_tol=1e-13):
         """Narrow the bracket with the power at ``mu``; return the Newton
         point on psi(mu) = power(mu)**-1/2 from ``mu``."""
         nonlocal lo, hi
-        inv = 1.0 / (evals + mu)
-        terms = c * inv * inv
-        p = float(terms.sum())
+        p = slope = 0.0  # power(mu) and -power'(mu) / 2
+        for e, ci in terms:
+            inv = 1.0 / (e + mu)
+            t = ci * inv * inv
+            p += t
+            slope += t * inv
         if p > total_power:
             lo = mu
         else:
@@ -110,7 +122,7 @@ def _wmmse_w_update(H, gram, lam, u, total_power, mu=None, inner_tol=1e-13):
         if p <= 0.0:
             return math.nan
         psi = p**-0.5
-        return mu + (target - psi) / (float(terms @ inv) * psi**3)
+        return mu + (target - psi) / (slope * psi**3)
 
     # psi is concave and increasing in mu, so one Newton step from either
     # side of the root lands at or below it, and from there the Newton
@@ -153,14 +165,18 @@ def wmmse(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    for name, value in (("total_power", total_power), ("noise_power", noise_power)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     H = np.asarray(H)
     W = mrt(H, total_power)
-    gram = H @ H.conj().T
+    Hc = H.conj()
+    gram = H @ Hc.T
     mu = None
 
     trace = [sum_rate(H, W, noise_power)]
     for _ in range(max_iter):
-        hw = H.conj() @ W.T  # hw[k, j] = h_k^H w_j
+        hw = Hc @ W.T  # hw[k, j] = h_k^H w_j
         d = hw.diagonal()
         denom = (np.abs(hw) ** 2).sum(axis=1) + noise_power
         u = np.conj(d) / denom

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leocsi.beamform import (
     _wmmse_w_update,
@@ -146,8 +146,8 @@ def test_wmmse_single_user_closed_form():
 def test_wmmse_orthogonal_two_user():
     H = 2.0 * np.eye(2, 4, dtype=complex)
     _, trace = wmmse(H, total_power=2.0, noise_power=1.0, tol=1e-12)
-    # Equal split over orthogonal gain-2 channels: 2*log2(1+4) at full power
-    # splits to 2*log2(1+2*... ) -- with P=2 split equally each SINR=4.
+    # Orthogonal channels with gain |h_k|^2 = 4 and noise 1: P = 2 split
+    # equally gives each device power 1 and SINR 4, so 2*log2(1+4) in all.
     assert trace[-1] == pytest.approx(2 * np.log2(5.0), abs=1e-4)
 
 
@@ -176,12 +176,47 @@ def test_wmmse_input_validation():
         wmmse(_random_channel(2, 4, seed=8), 1.0, 0.1, tol=0.0)
 
 
+@pytest.mark.parametrize("total_power, noise_power", [
+    (1.0, -0.1), (1.0, float("nan")), (-1.0, 0.1), (1.0, 0.0), (float("inf"), 0.1),
+])
+def test_wmmse_rejects_bad_powers(total_power, noise_power):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        wmmse(_random_channel(2, 4, seed=8), total_power, noise_power)
+
+
 @given(st.integers(0, 10_000), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_emitted_beamformers_meet_power_budget(seed, k):
     H = _random_channel(k, 6, seed=seed)
     for W in (mrt(H, 1.5), zero_forcing(H, 1.5), wmmse(H, 1.5, 0.1)[0]):
         assert np.sum(np.abs(W) ** 2) == pytest.approx(1.5, rel=1e-6)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.integers(2, 6),
+    n=st.integers(1, 6),
+    duplicate=st.booleans(),
+    total_power=st.floats(0.1, 10.0),
+    noise_power=st.floats(0.01, 1.0),
+)
+# Device 3 of this channel is switched off: its u_k decays into the subnormal
+# range, where conj(u)/|u| overflowed and the multiplier search failed.
+@example(seed=0, k=4, n=2, duplicate=False, total_power=5.0, noise_power=0.03125)
+@settings(max_examples=60, deadline=None)
+def test_wmmse_on_rank_deficient_channels(seed, k, n, duplicate, total_power, noise_power):
+    # K > N, or a duplicated row: S G S is singular, so the W-updates of the
+    # whole loop drop eigen-directions.
+    H = _random_channel(k, n, seed)
+    if duplicate or k <= n:
+        H[-1] = H[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W, trace = wmmse(H, total_power, noise_power)
+    assert np.all(np.isfinite(W))
+    assert np.sum(np.abs(W) ** 2) == pytest.approx(total_power, rel=1e-9)
+    assert np.min(np.diff(trace), initial=0.0) >= -1e-9
+    assert trace[-1] >= sum_rate(H, mrt(H, total_power), noise_power) - 1e-9
 
 
 @given(

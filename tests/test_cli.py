@@ -610,15 +610,28 @@ _TRAIN_KEYS = [f"train.{field.name}" for field in dataclasses.fields(TrainConfig
 _TRAIN_KEYS += ["train.betas", "train.clip_norm"]
 
 
-@given(overrides=st.lists(st.tuples(st.sampled_from(_TRAIN_KEYS), _VALUE_TEXT),
-                          min_size=1, max_size=2))
-@settings(max_examples=30, deadline=None)
-def test_train_fuzz_exits_cleanly(cli_dataset, overrides):
-    # Any train.* value on train-cp either trains or ends in one error line
-    # with a documented exit code and no run directory.  The last --set wins,
-    # so no example trains more than two steps.
+_TRAIN_OVERRIDES = st.lists(st.tuples(st.sampled_from(_TRAIN_KEYS), _VALUE_TEXT),
+                            min_size=1, max_size=2)
+
+
+def _train_exits_cleanly(command, cli_dataset, overrides):
+    """Any train.* value on a training command either trains or ends in one
+    error line with a documented exit code and no run directory.  The last
+    --set wins, so no example trains more than two steps."""
     argv = ["--desk"]
     for key, value in overrides:
         argv += ["--set", f"{key}={value}"]
-    _exits_cleanly(argv + ["--set", "train.max_steps=2", "train-cp",
+    _exits_cleanly(argv + ["--set", "train.max_steps=2", command,
                            "--dataset", os.path.join(cli_dataset, "train")])
+
+
+@given(overrides=_TRAIN_OVERRIDES)
+@settings(max_examples=30, deadline=None)
+def test_train_fuzz_exits_cleanly(cli_dataset, overrides):
+    _train_exits_cleanly("train-cp", cli_dataset, overrides)
+
+
+@given(overrides=_TRAIN_OVERRIDES)
+@settings(max_examples=30, deadline=None)
+def test_train_bf_fuzz_exits_cleanly(cli_dataset, overrides):
+    _train_exits_cleanly("train-bf", cli_dataset, overrides)
