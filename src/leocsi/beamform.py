@@ -163,7 +163,7 @@ def wmmse(
     solution is scaled to use the full budget, which can only improve every
     device's SINR.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too, which would run max_iter iterations
         raise ValueError("tol must be positive")
     for name, value in (("total_power", total_power), ("noise_power", noise_power)):
         if not (math.isfinite(value) and value > 0):

@@ -174,6 +174,8 @@ def test_wmmse_beats_mrt_and_zf():
 def test_wmmse_input_validation():
     with pytest.raises(ValueError):
         wmmse(_random_channel(2, 4, seed=8), 1.0, 0.1, tol=0.0)
+    with pytest.raises(ValueError):
+        wmmse(_random_channel(2, 4, seed=8), 1.0, 0.1, tol=float("nan"))
 
 
 @pytest.mark.parametrize("total_power, noise_power", [
