@@ -2,7 +2,7 @@
 
 A ``Tensor`` wraps a real-valued ndarray and records its parents plus a
 backward closure; ``backward()`` on a scalar runs the chain rule over the
-graph in reverse topological order.  The engine is real-valued only;
+graph in reverse topological order, once, freeing the graph as it goes.  The engine is real-valued only;
 complex CSI is split into two real channels before it reaches a graph.
 
 A graph computes in the dtype of its parameter leaves: constants meeting a
@@ -40,6 +40,15 @@ class Tensor:
         return self.data.ndim
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf that requires it.
+
+        A graph is differentiated once: each interior node is freed as soon
+        as its own backward step has run, dropping its gradient, parents and
+        closure (the saved activations) and keeping its ``data``.  Leaves
+        keep their gradients.  Calling ``backward()`` again on this output,
+        or on a new output built on one of its interior nodes, raises
+        ``RuntimeError``.
+        """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -52,15 +61,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _freed:  # checked before any step runs
+                _freed()
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=self.data.dtype)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # Popping the reversed topological order drops each node from the
+        # list once its step has run, so its memory goes as soon as nothing
+        # else holds it.
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _freed
 
     def _accumulate(self, g):
         # ``g`` is kept without a copy, so a gradient may share memory with
@@ -104,6 +124,11 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _freed(g=None):
+    """The backward step of a node that ``Tensor.backward`` has freed."""
+    raise RuntimeError("backward() reached a node whose graph an earlier backward() freed")
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -598,13 +623,27 @@ class AdamW:
             if name not in self._state:
                 self._state[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
             m, v = self._state[name]
-            m[...] = b1 * m + (1 - b1) * g
-            v[...] = b2 * v + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self._t)
-            v_hat = v / (1 - b2 ** self._t)
+            # In place, in the operation order of
+            #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+            #   p -= lr m_hat / (sqrt(v_hat) + eps).
+            # The products of g stay in g's dtype (float32 in training), as
+            # in that expression; float64 products would change the bits.
+            scaled_g = np.multiply(g, 1 - b1)
+            m *= b1
+            m += scaled_g
+            np.multiply(g, 1 - b2, out=scaled_g)
+            scaled_g *= g
+            v *= b2
+            v += scaled_g
+            step = np.divide(m, 1 - b1 ** self._t)
+            step *= self.lr
+            denom = np.divide(v, 1 - b2 ** self._t)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
             if p.decay and self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.data -= step
 
 
 def grad_check(f, store: ParamStore, eps: float = 1e-5, max_entries: int = 200,

@@ -188,7 +188,10 @@ def make_run_dir(out_root: str, seed: int) -> str:
     while os.path.exists(path):
         suffix += 1
         path = os.path.join(out_root, f"run-{stamp}-seed{seed}-{suffix}")
-    os.makedirs(path)
+    try:
+        os.makedirs(path)
+    except OSError as exc:  # e.g. --out beneath a regular file
+        raise ConfigError(f"cannot create a run directory under --out {out_root}: {exc}") from exc
     return path
 
 

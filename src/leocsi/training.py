@@ -194,6 +194,9 @@ def _run_training(model: Model, data: Dataset, tc: TrainConfig) -> list[float]:
                     f"non-finite training loss {value} or gradient norm {norm} at step {steps}"
                 )
             opt.step(model.params, grads)
+            # The spent graph's leaves, output and gradients would otherwise
+            # stay alive through the next step's forward pass.
+            del leaves, pred, loss, grads
             trace.append(value)
             steps += 1
             if tc.max_steps is not None and steps >= tc.max_steps:

@@ -1,11 +1,15 @@
 """Reverse-mode engine: finite-difference checks on every primitive, the
 optimizer, and parameter persistence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leocsi import autodiff as ad
 from leocsi.autodiff import AdamW, ParamStore, Tensor
+from leocsi.models import Model, desk_model_config, preprocess
+from leocsi.training import TRAIN_DTYPE, nmse_loss_graph
 
 
 def fd_grad(f, xs, eps=1e-6):
@@ -225,6 +229,39 @@ def test_adamw_first_step_matches_manual():
     opt.step(store, {"w": np.array([0.5])})
     # Bias-corrected first Adam step moves by ~lr in the gradient direction.
     assert store["w"].data[0] == pytest.approx(2.0 - 0.01 * 0.5 / (0.5 + 1e-8), rel=1e-9)
+
+
+def _adamw_expression_form(store, grads, state, t, lr, weight_decay):
+    """AdamW.step written as whole-array expressions: the reference for its
+    in-place arithmetic."""
+    b1, b2 = ad.ADAM_BETAS
+    for name, p in store.items():
+        g = grads[name]
+        m, v = state.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m[...] = b1 * m + (1 - b1) * g
+        v[...] = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        if p.decay:
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_adamw_equals_its_expression_form_bit_for_bit(grad_dtype):
+    rng = np.random.default_rng(7)
+    store = ParamStore()
+    store.add("w", rng.standard_normal((4, 3)))
+    store.add("b", rng.standard_normal(3), decay=False)
+    ref = store.copy()
+    opt, state = AdamW(lr=1e-2, weight_decay=0.01), {}
+    for t in range(1, 6):
+        grads = {n: rng.standard_normal(p.data.shape).astype(grad_dtype)
+                 for n, p in store.items()}
+        opt.step(store, grads)
+        _adamw_expression_form(ref, grads, state, t, 1e-2, 0.01)
+        for n, p in store.items():
+            assert np.array_equal(p.data, ref[n].data), (t, n)
 
 
 def test_grad_check_simple_quadratic():
@@ -448,3 +485,67 @@ def test_constant_of_a_non_float_value_converts_it():
     assert ad.constant(np.arange(3)).data.dtype == np.float64
     x = np.ones(2, dtype=np.float32)
     assert ad.constant(x).data is x
+
+
+def _graph_nodes(out):
+    """Every tensor reachable from ``out`` through its parents."""
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return list(nodes.values())
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    out = ad.tsum(ad.tanh(x * w) * x + w)
+    value = out.data.copy()
+    nodes = _graph_nodes(out)
+    interior = [t for t in nodes if t._parents]
+    assert len(interior) == 5
+    out.backward()
+    for t in interior:
+        assert t.grad is None and t._parents == ()
+    d = 1.0 - np.tanh(x.data * w.data) ** 2
+    np.testing.assert_allclose(x.grad, np.tanh(x.data * w.data) + x.data * d * w.data, rtol=1e-14)
+    np.testing.assert_allclose(w.grad, x.data * d * x.data + 1.0, rtol=1e-14)
+    assert np.array_equal(out.data, value)
+
+
+def test_backward_of_a_freed_graph_raises():
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    h = 2.0 * x
+    z = ad.tsum(h * x)
+    z.backward()
+    assert x.grad[0] == 12.0
+    # Run again over stale interior gradients, a second pass would add 36
+    # into x.grad, where a fresh graph gives 12.
+    with pytest.raises(RuntimeError, match="freed"):
+        z.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        ad.tsum(h * 3.0).backward()
+    assert x.grad[0] == 12.0
+
+
+def test_backward_releases_a_training_step_graph():
+    cfg = desk_model_config(lora_rank=0)
+    rng = np.random.default_rng(0)
+    shape = (64, cfg.t_p + cfg.t_f, cfg.num_devices, cfg.num_antennas)
+    csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    model = Model(cfg, seed=0)
+    x_norm, stats = preprocess(csi[:, :cfg.t_p])
+    tracemalloc.start()
+    try:
+        leaves = model.params.leaves(TRAIN_DTYPE)
+        loss = nmse_loss_graph(model.forward_graph(leaves, x_norm, stats), csi[:, cfg.t_p:])
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The forward graph's activations outweigh the leaf gradients that
+    # backward leaves behind.
+    assert after < before, (before, after)

@@ -258,6 +258,18 @@ def test_generate_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["generate", "train-cp"])
+def test_out_beneath_a_file_is_config_error(cli_dataset, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = (["generate", "--train-count", "1", "--test-count", "1"] if command == "generate"
+            else [command, "--dataset", os.path.join(cli_dataset, "train")])
+    assert run("--desk", "--set", "train.max_steps=1", "--out", str(blocker / "runs"),
+               *args) == EXIT_CONFIG
+    assert "--out" in _one_error_line(capsys, "config error: ")
+    assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
+
+
 _CONFIG_KEYS = [
     f"{section}.{field.name}"
     for section, cls in (("scenario", ScenarioConfig), ("model", ModelConfig), ("train", TrainConfig))
@@ -635,3 +647,9 @@ def test_train_fuzz_exits_cleanly(cli_dataset, overrides):
 @settings(max_examples=30, deadline=None)
 def test_train_bf_fuzz_exits_cleanly(cli_dataset, overrides):
     _train_exits_cleanly("train-bf", cli_dataset, overrides)
+
+
+@given(overrides=_TRAIN_OVERRIDES)
+@settings(max_examples=30, deadline=None)
+def test_pretrain_fuzz_exits_cleanly(cli_dataset, overrides):
+    _train_exits_cleanly("pretrain", cli_dataset, overrides)
